@@ -189,6 +189,8 @@ def _max_bits(args):
 def _cmd_dist(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
+    if not 0 <= args.v < inp.graph.n:
+        raise ValueError(f"vertex {args.v} out of range 0..{inp.graph.n - 1}")
     _warn_guard(args)
     d = signed_distance_row(inp.graph, signs, args.u,
                             max_n=args.max_n)[args.v]
@@ -364,6 +366,9 @@ def _cmd_min_wiener(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    if args.n_from > args.n_to:
+        raise ValueError(f"empty range: --n-from {args.n_from} "
+                         f"exceeds --n-to {args.n_to}")
     _warn_guard(args)
     rows = threshold_scan(args.r, args.k,
                           range(args.n_from, args.n_to + 1),

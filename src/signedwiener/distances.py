@@ -2,10 +2,13 @@
 
 The engine is a dynamic program over (visited-vertex bitmask, current
 vertex) states, expanded level by level so each state is touched once.
-For signings the per-state payload is a bitset of achievable sign sums
-(offset by n-1); for r >= 3 colorings it is a set of color-count
-difference vectors relative to color 1.  Exponential, but exact, and
-comfortably fast at the sizes the guards admit.
+Each state carries one integer bitset.  For signings, bit i marks the
+achievable sign sum i - (n-1).  For r >= 3 colorings, bit i marks the
+per-color edge counts written as the base-(q+1) digits of i, with
+q = (n-1) // r: no canceling path uses a color more than q times, so
+prefixes that do are dropped and an edge is one masked shift.
+Exponential, but exact, and comfortably fast at the sizes the guards
+admit.
 """
 
 from __future__ import annotations
@@ -251,6 +254,8 @@ def zero_reach_row(g: Graph, signing, source: int, *,
     sum exactly 0 (v == source counts via the empty path)."""
     signs = _signs_of(signing)
     _validate_lengths(g, signs, "signing")
+    if not 0 <= source < g.n:
+        raise ValueError("source out of range")
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
     zero_bit = 1 << (g.n - 1)
     reach = [False] * g.n
@@ -331,39 +336,51 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
 
 
 # ---------------------------------------------------------------------------
-# colored engine (r >= 3, count-difference tuples; r = 2 delegates)
+# colored engine (r >= 3, capped color counts as bitsets; r = 2 delegates)
 
-def _colored_adjacency(g: Graph, colors):
-    return [tuple((w, colors[g.edge_index(v, w)]) for w in g.neighbors(v))
-            for v in range(g.n)]
+def _count_layout(n: int, r: int):
+    """(b, keep, step) of the colored bitsets: base b = q+1; keep[c-1]
+    holds the indices whose color-c digit is below q, so a color-c edge
+    shifts by b**(c-1) without carrying; a path of length j*r cancels
+    exactly when bit j*step is set, step = 1 + b + ... + b**(r-1)."""
+    q = (n - 1) // r
+    b = q + 1
+    ones = (1 << b ** r) - 1
+    keep = tuple(((1 << q * b ** p) - 1) * ones // ((1 << b ** (p + 1)) - 1)
+                 for p in range(r))
+    return b, keep, sum(b ** p for p in range(r))
 
 
 def _colored_levels(g: Graph, coloring: EdgeColoring, source: int):
-    """Yield per-length dicts (mask, end) -> set of difference tuples
-    (count(c) - count(1) for c = 2..r)."""
-    r = coloring.r
-    adj = _colored_adjacency(g, coloring.colors)
-    zero = (0,) * (r - 1)
-    level = {(1 << source, source): {zero}}
-    yield level
-    while level:
-        nxt: dict[tuple[int, int], set] = {}
-        for (mask, v), diffs in level.items():
-            for w, c in adj[v]:
-                bit = 1 << w
-                if mask & bit:
-                    continue
-                key = (mask | bit, w)
-                bucket = nxt.setdefault(key, set())
-                if c == 1:
-                    bucket.update(tuple(x - 1 for x in t) for t in diffs)
-                else:
-                    i = c - 2
-                    bucket.update(t[:i] + (t[i] + 1,) + t[i + 1:]
-                                  for t in diffs)
+    """Yield, per path length L, the list over end vertices of dicts
+    mask -> count bitset (see _count_layout), and the bit marking a
+    canceling path of length L, or 0 when none can cancel.  States
+    whose bitset empties are not stored."""
+    n, r = g.n, coloring.r
+    b, keep, step = _count_layout(n, r)
+    adj = [[] for _ in range(n)]
+    for (a, w), c in zip(g.edges, coloring.colors):
+        adj[a].append((w, 1 << w, keep[c - 1], b ** (c - 1)))
+        adj[w].append((a, 1 << a, keep[c - 1], b ** (c - 1)))
+    level = [{} for _ in range(n)]
+    level[source][1 << source] = 1
+    length = 0
+    while any(level):
+        yield level, (1 << length // r * step
+                      if length and length % r == 0 else 0)
+        nxt = [{} for _ in range(n)]
+        for v, states in enumerate(level):
+            for w, bit, keep_c, shift in adj[v]:
+                out = nxt[w]
+                for mask, counts in states.items():
+                    if mask & bit:
+                        continue
+                    shifted = (counts & keep_c) << shift
+                    if shifted:
+                        key = mask | bit
+                        out[key] = out.get(key, 0) | shifted
         level = nxt
-        if level:
-            yield level
+        length += 1
 
 
 def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
@@ -374,18 +391,17 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
         signs = tuple(1 if c == 1 else -1 for c in coloring.colors)
         return zero_reach_row(g, signs, source, max_n=max_n)
     _validate_lengths(g, coloring.colors, "coloring")
+    if not 0 <= source < g.n:
+        raise ValueError("source out of range")
     _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
-    zero = (0,) * (coloring.r - 1)
     reach = [False] * g.n
     reach[source] = True
     undone = g.n - 1
-    first = True
-    for level in _colored_levels(g, coloring, source):
-        if first:
-            first = False  # the empty path never cancels for u != v
+    for level, cancel in _colored_levels(g, coloring, source):
+        if not cancel:
             continue
-        for (mask, v), diffs in level.items():
-            if not reach[v] and zero in diffs:
+        for v, states in enumerate(level):
+            if not reach[v] and any(c & cancel for c in states.values()):
                 reach[v] = True
                 undone -= 1
         if undone == 0:
@@ -416,21 +432,18 @@ def exists_canceling_path(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
         return False
     _validate_lengths(g, coloring.colors, "coloring")
     _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
-    zero = (0,) * (coloring.r - 1)
-    first = True
-    for level in _colored_levels(g, coloring, u):
-        if first:
-            first = False
-            continue
-        for (mask, w), diffs in level.items():
-            if w == v and zero in diffs:
-                return True
+    for level, cancel in _colored_levels(g, coloring, u):
+        if cancel and any(c & cancel for c in level[v].values()):
+            return True
     return False
 
 
 def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
                            max_n: int | None = None) -> PathWitness | None:
-    """A shortest canceling uv-path, or None if there is none."""
+    """A shortest canceling uv-path, or None if there is none.
+
+    For r >= 3 it is the one on the numerically least vertex-set
+    bitmask, lexicographically least when read backward from v."""
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
     if coloring.r == 2:
@@ -441,45 +454,31 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
         return _signed_witness(g, signs, u, v, 0)
     _validate_lengths(g, coloring.colors, "coloring")
     _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
-    zero = (0,) * (coloring.r - 1)
     levels = []
-    hit = None
-    for level in _colored_levels(g, coloring, u):
+    for level, cancel in _colored_levels(g, coloring, u):
         levels.append(level)
-        if len(levels) == 1:
-            continue
-        for (mask, w), diffs in level.items():
-            if w == v and zero in diffs:
-                hit = (mask, len(levels) - 1)
-                break
-        if hit:
+        ends = [mask for mask, c in level[v].items() if c & cancel]
+        if ends:
             break
-    if hit is None:
+    else:
         return None
-    mask, length = hit
-    colors = coloring.colors
+    mask, i = min(ends), cancel.bit_length() - 1
+    b = _count_layout(g.n, coloring.r)[0]
     path = [v]
     cur = v
-    diff = zero
-    for lev in range(length, 0, -1):
+    for lev in range(len(levels) - 1, 0, -1):
         prev_mask = mask & ~(1 << cur)
-        found = False
         for w in sorted(g.neighbors(cur)):
             if not prev_mask & (1 << w):
                 continue
-            c = colors[g.edge_index(w, cur)]
-            if c == 1:
-                prev = tuple(x + 1 for x in diff)
-            else:
-                i = c - 2
-                prev = diff[:i] + (diff[i] - 1,) + diff[i + 1:]
-            bucket = levels[lev - 1].get((prev_mask, w))
-            if bucket is not None and prev in bucket:
+            step = b ** (coloring.colors[g.edge_index(w, cur)] - 1)
+            if i // step % b == 0:
+                continue
+            if levels[lev - 1][w].get(prev_mask, 0) >> (i - step) & 1:
                 path.append(w)
-                mask, cur, diff = prev_mask, w, prev
-                found = True
+                mask, cur, i = prev_mask, w, i - step
                 break
-        if not found:
+        else:
             raise AssertionError("broken witness chain")
     path.reverse()
     return PathWitness.from_vertices(g, path, coloring)

@@ -437,7 +437,12 @@ def parse_any(text: str) -> ParsedGraph:
             signs = [1 if t == "+" else -1 for t in tags]
         else:
             colors = []
+            sign_line = None
             for lineno, _, _, t in rows:
+                if t in ("+", "-"):
+                    if sign_line is None:
+                        sign_line = lineno
+                    continue
                 try:
                     c = int(t)
                 except ValueError:
@@ -447,6 +452,9 @@ def parse_any(text: str) -> ParsedGraph:
                 if c < 1:
                     raise GraphFormatError("colors must be >= 1", lineno)
                 colors.append(c)
+            if sign_line is not None:
+                raise GraphFormatError("mixed sign and color tags",
+                                       sign_line)
 
     edges = []
     seen = set()

@@ -498,6 +498,9 @@ def _parse_claim_comment(body: str) -> Claim:
         elif key == "k":
             kw["k"] = int(val)
         elif key == "expected":
+            if val.lower() not in ("true", "false"):
+                raise ValueError(
+                    f"claim expected must be true or false, got {val!r}")
             kw["expected"] = val.lower() == "true"
         elif key == "exceptional-pair":
             a, b = val.split(",")

@@ -68,18 +68,20 @@ def wiener_signed(n, edges, signs):
     return total
 
 
-def canceling_path_exists(n, edges, colors, r, u, v):
-    """True iff some simple uv-path uses every color in 1..r equally."""
-    if u == v:
-        return True
+def canceling_paths(n, edges, colors, r, u, v):
+    """Yield every simple uv-path that uses each color in 1..r equally."""
     lookup = edge_lookup(edges)
     for path in simple_paths(n, edges, u, v):
         counts = [0] * r
         for i in path_edge_indices(path, lookup):
             counts[colors[i] - 1] += 1
         if len(set(counts)) == 1:
-            return True
-    return False
+            yield path
+
+
+def canceling_path_exists(n, edges, colors, r, u, v):
+    """True iff some simple uv-path uses every color in 1..r equally."""
+    return next(canceling_paths(n, edges, colors, r, u, v), None) is not None
 
 
 def restrict(n, edges, tags, dead):

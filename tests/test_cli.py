@@ -70,6 +70,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_dist_vertex_out_of_range_is_2(self, capsys):
+        for u, v in (("0", "-1"), ("0", "99"), ("-1", "0")):
+            code, out, err = run_cli(capsys, "dist", "fixture:theta4", u, v)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "out of range" in err
+
+    def test_threshold_empty_range_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "threshold", "--k", "2",
+                                 "--n-from", "6", "--n-to", "5")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "empty range" in err
+
     def test_missing_signs_is_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--k", "1",
                                "family:cycle:5")

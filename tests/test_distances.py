@@ -48,6 +48,24 @@ def random_graph(rng, n, p=0.5):
     return Graph(n, edges)
 
 
+def colored_cases(seed, trials):
+    """Random r-colorings with r in 3..6 on at most 8 vertices (r > n-1
+    included), then cap-tight ones: a path or cycle on q*r+1 vertices
+    colored 1..r in turn, whose canceling paths use each color exactly
+    q = (n-1) // r times."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n, 0.6 if n <= 6 else 0.45)
+        r = rng.choice((3, 4, 5, 6))
+        used = rng.randint(1, r)
+        yield g, EdgeColoring(r, tuple(rng.randint(1, used)
+                                       for _ in range(g.m)))
+    for r, q in ((3, 1), (3, 2), (4, 1), (5, 1), (6, 1)):
+        for g in (path_graph(q * r + 1), cycle_graph(q * r + 1)):
+            yield g, EdgeColoring(r, tuple(i % r + 1 for i in range(g.m)))
+
+
 class TestSignedDistance:
     def test_forced_path(self):
         g = path_graph(3)
@@ -161,27 +179,29 @@ class TestCancelingPaths:
                     assert exists_canceling_path(g, chi, u, v) == expect
 
     def test_r3_matches_naive_oracle(self):
-        rng = random.Random(29)
-        for trial in range(20):
-            g = random_graph(rng, rng.randint(2, 6), 0.6)
-            chi = EdgeColoring(3, tuple(rng.randint(1, 3)
-                                        for _ in range(g.m)))
-            u, v = rng.randrange(g.n), rng.randrange(g.n)
-            if u == v:
-                continue
-            assert exists_canceling_path(g, chi, u, v) == \
-                naive.canceling_path_exists(g.n, g.edges, chi.colors, 3, u, v)
+        for g, chi in colored_cases(29, 60):
+            for u in range(g.n):
+                for v in range(g.n):
+                    assert exists_canceling_path(g, chi, u, v) == \
+                        naive.canceling_path_exists(g.n, g.edges, chi.colors,
+                                                    chi.r, u, v)
 
     def test_reach_row_matches_pair_queries(self):
-        rng = random.Random(31)
-        for trial in range(15):
-            g = random_graph(rng, rng.randint(2, 6), 0.6)
-            chi = EdgeColoring(3, tuple(rng.randint(1, 3)
-                                        for _ in range(g.m)))
+        for g, chi in colored_cases(31, 40):
             for u in range(g.n):
                 row = canceling_reach_row(g, chi, u)
                 for v in range(g.n):
                     assert row[v] == exists_canceling_path(g, chi, u, v)
+
+    def test_rows_reject_out_of_range_source(self):
+        g = path_graph(4)
+        for source in (-1, 4):
+            with pytest.raises(ValueError, match="source out of range"):
+                zero_reach_row(g, (1, -1, 1), source)
+            for r in (2, 3):
+                chi = EdgeColoring(r, (1, 2, 1))
+                with pytest.raises(ValueError, match="source out of range"):
+                    canceling_reach_row(g, chi, source)
 
     def test_zero_reach_row(self):
         sq, signs = square_path_signs(6)
@@ -189,17 +209,28 @@ class TestCancelingPaths:
         assert reach == [True, True, True, True, True, False]
 
     def test_colored_witness_is_canceling(self):
-        g = complete_graph(5)
         rng = random.Random(43)
-        chi = EdgeColoring(3, tuple(rng.randint(1, 3) for _ in range(g.m)))
-        for u in range(5):
-            for v in range(5):
-                w = canceling_path_witness(g, chi, u, v)
-                if w is None:
-                    assert not exists_canceling_path(g, chi, u, v)
-                    continue
-                assert w.vertices[0] == u and w.vertices[-1] == v
-                assert w.is_canceling()
+        k5 = complete_graph(5)
+        cases = [(k5, EdgeColoring(3, tuple(rng.randint(1, 3)
+                                            for _ in range(k5.m))))]
+        for g, chi in cases + list(colored_cases(43, 40)):
+            for u in range(g.n):
+                for v in range(g.n):
+                    w = canceling_path_witness(g, chi, u, v)
+                    paths = list(naive.canceling_paths(
+                        g.n, g.edges, chi.colors, chi.r, u, v))
+                    if w is None:
+                        assert not paths
+                        continue
+                    assert w.vertices[0] == u and w.vertices[-1] == v
+                    assert w.is_canceling()
+                    shortest = min(len(p) for p in paths)
+                    assert len(w.vertices) == shortest
+                    if u != v:
+                        # least vertex set, then least read backward
+                        assert w.vertices == min(
+                            (p for p in paths if len(p) == shortest),
+                            key=lambda p: (sum(1 << x for x in p), p[::-1]))
 
     def test_coloring_validation(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,15 @@ class TestParsing:
         with pytest.raises(GraphFormatError):
             parse_graph("3 2\n0 1 +\n1 2 +\n")
 
+    def test_mixed_sign_and_color_tags_report_line(self):
+        for text in ("3 2\n0 1 2\n1 2 +\n", "3 2\n0 1 -\n1 2 2\n"):
+            with pytest.raises(GraphFormatError,
+                               match="mixed sign and color tags") as exc:
+                parse_any(text)
+            assert exc.value.line == (3 if text.endswith("+\n") else 2)
+        with pytest.raises(GraphFormatError, match="got 'x'"):
+            parse_any("3 2\n0 1 +\n1 2 x\n")
+
     def test_round_trip_plain_signed_colored(self):
         g = theta_graph([1, 2, 2, 3])
         assert parse_graph(emit_graph(g)) == g

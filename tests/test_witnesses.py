@@ -483,6 +483,12 @@ class TestWitnessFormat:
         again = parse_witness(emit_witness(w))
         assert again.claim == w.claim
 
+    def test_claim_expected_must_be_boolean(self):
+        text = emit_witness(square_path_signing(6))
+        assert "expected=false" in text
+        with pytest.raises(ValueError, match="true or false"):
+            parse_witness(text.replace("expected=false", "expected=maybe"))
+
     def test_missing_claim_rejected(self):
         with pytest.raises(ValueError, match="no claim"):
             parse_witness("2 1\n0 1 +\n")
