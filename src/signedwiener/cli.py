@@ -5,7 +5,8 @@ entry point, prints a human summary or a key-value tree, and maps the
 verdict to the exit code.  0 means the claim holds or a witness was
 found, 1 means it fails or nothing was found (with a printed
 certificate), 2 means usage, input, or guard errors.  Diagnostics go
-to stderr; stdout carries only data.
+to stderr; stdout carries only data.  `reproduce` runs one suite of the
+headline-claim registry in `reproduce.py`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .canceling import (
 from .distances import (
     INFINITE,
     EdgeColoring,
-    Signing,
     SizeGuardError,
     signed_distance_row,
     wiener_classical,
@@ -33,23 +33,15 @@ from .distances import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     make_family,
     parse_any,
-    theta_graph,
 )
 from .reports import as_tree, render_kv
+from .reproduce import SUITES
 from .search import (
-    connected_graphs,
     dyck_distribution,
-    dyck_record,
-    dyck_records,
-    enumerate_trees,
     find_k_canceling_signing,
     min_signed_wiener,
-    theta_length_tuples,
     threshold_scan,
     verify_double_star,
     verify_tree_sandwich,
@@ -60,10 +52,8 @@ from .witnesses import (
     SignedWitness,
     bipartite_clique_signing,
     blowup_cycle_signing,
-    certify,
     complete_cyclic_signing,
     complete_rk_coloring,
-    derive_special_witness,
     emit_witness,
     parse_witness,
     special_witness,
@@ -80,7 +70,7 @@ CONSTRUCT_NAMES = (
     "complete-rk",
 )
 
-SUITE_NAMES = ("core", "exhaustive", "conjectures")
+SUITE_NAMES = tuple(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -441,219 +431,11 @@ def _cmd_soltes(args) -> int:
     return 0 if report.holds else 1
 
 
-# ---------------------------------------------------------------------------
-# reproduction suites: named bundles of the toolkit's headline checks,
-# each returning per-check pass/fail so a failed run pinpoints itself
-
-
-def _check_square_paths():
-    results = [certify(square_path_signing(n)) for n in range(2, 13)]
-    ok = all(r.ok for r in results)
-    return ok, f"{len(results)} claims certified (n=2..12, n=6 boundary)"
-
-
-def _check_complete_cyclic():
-    results = [certify(complete_cyclic_signing(n)) for n in range(3, 11)]
-    ok = all(r.ok for r in results)
-    return ok, f"{len(results)} claims certified (n=3..10)"
-
-
-def _check_k4_exhaustive():
-    result = find_k_canceling_signing(complete_graph(4), 2,
-                                      use_filter=False)
-    return (not result.found,
-            f"no 2-canceling signing among {result.examined} candidates")
-
-
-def _check_fixture_rederivation():
-    ok = True
-    for tag in ("c7sq", "p6sq"):
-        stored, fresh = special_witness(tag), derive_special_witness(tag)
-        ok = ok and emit_witness(stored) == emit_witness(fresh)
-    return ok, "stored fixtures equal fresh search output"
-
-
-def _check_fixture_recertification():
-    results = [certify(special_witness(tag)) for tag in SPECIAL_TAGS]
-    return all(r.ok for r in results), f"{len(results)} fixtures certified"
-
-
-def _check_subdivision_chain():
-    even = special_witness("g_small_even")
-    odd = special_witness("g_small_odd")
-    sizes = []
-    ok = True
-    for seed, irange in ((odd, range(0, 3)), (even, range(1, 4))):
-        for i in irange:
-            w = subdivision_extend(seed, seed.designated_edge, i)
-            good = (certify(w).ok and w.graph.m == w.graph.n + 2
-                    and min(w.graph.degree(v)
-                            for v in range(w.graph.n)) == 2)
-            ok = ok and good
-            sizes.append(w.graph.n)
-    return ok and sorted(sizes) == [5, 6, 7, 8, 9, 10], \
-        "n=5..10 with n+2 edges and min degree 2"
-
-
-def _check_union():
-    t4 = special_witness("theta4")
-    u1 = union_signing(t4, t4, 4, 4)
-    u2 = union_signing(special_witness("g_small_even"),
-                       special_witness("g_small_odd"), 0, 0)
-    ok = certify(u1).ok and certify(u2).ok
-    return ok, "two one-point unions certified"
-
-
-def _check_bipartite_cliques():
-    a = certify(bipartite_clique_signing(complete_bipartite_graph(3, 3), 1))
-    b = certify(bipartite_clique_signing(complete_bipartite_graph(4, 4), 2))
-    return a.ok and b.ok, "K_6 (k=1) and K_8 (k=2) forms certified"
-
-
-def _check_blowups():
-    a = certify(blowup_cycle_signing(1, (2, 2, 2), 1))
-    b = certify(blowup_cycle_signing(1, (4, 4, 4), 2))
-    return a.ok and b.ok, "triangle blowups (2,2,2) and (4,4,4) certified"
-
-
-def _check_complete_rk_small():
-    a = certify(complete_rk_coloring(6, 3, 2))
-    b = certify(complete_rk_coloring(7, 3, 2))
-    return a.ok and b.ok, "3-colorings of K_6 and K_7 certified for k=2"
-
-
-def _check_tree_squares():
-    count = 0
-    for n in range(5, 9):
-        for record in enumerate_trees(n):
-            if not certify(square_tree_signing(record.tree)).ok:
-                return False, f"failed on a tree with {n} vertices"
-            count += 1
-    return True, f"{count} tree squares certified (n=5..8)"
-
-
-def _check_soltes_cycles():
-    expected = {n: n == 11 for n in range(5, 14)}
-    for n, want in expected.items():
-        if soltes_check_classical(cycle_graph(n)).holds != want:
-            return False, f"unexpected verdict at C_{n}"
-    return True, "deletion-invariance exactly at C_11 among C_5..C_13"
-
-
-def _check_thresholds():
-    expect = [(1, {2: False, 3: False, 4: True, 5: True}),
-              (2, {3: False, 4: False, 5: True, 6: True}),
-              (3, {4: False, 5: False, 6: False, 7: True})]
-    for k, per_n in expect:
-        rows = threshold_scan(2, k, sorted(per_n))
-        for row in rows:
-            if row.holds != per_n[row.n]:
-                return False, f"k={k}, n={row.n} disagrees"
-    return True, "first 2-signing thresholds at n=4, 5, 7"
-
-
-def _check_connected_sweep():
-    canceling_passes = True
-    tight = {5: False, 6: False}
-    graphs = 0
-    for n in range(2, 7):
-        for g in connected_graphs(n):
-            graphs += 1
-            result = find_k_canceling_signing(g, 1, use_filter=False)
-            if not result.found:
-                continue
-            if not necessary_conditions(g, 1).passes:
-                canceling_passes = False
-            if n in tight and g.m == n + 2 and \
-                    min(g.degree(v) for v in range(n)) == 2:
-                tight[n] = True
-    ok = canceling_passes and all(tight.values())
-    return ok, (f"{graphs} graphs swept; conditions necessary; "
-                "tight examples at n=5,6")
-
-
-def _check_theta_small():
-    for lengths in theta_length_tuples(3, 10):
-        if find_k_canceling_signing(theta_graph(lengths), 1,
-                                    use_filter=False).found:
-            return False, f"theta{lengths} unexpectedly cancels"
-    t4 = certify(special_witness("theta4"))
-    return t4.ok, "no theta with t<=3 within 10 edges cancels; t=4 does"
-
-
-def _check_complete_rk_large():
-    result = certify(complete_rk_coloring(12, 3, 3))
-    return result.ok, "3-colored K_12 certified for k=3"
-
-
-def _check_sandwich():
-    for n in range(2, 10):
-        report = verify_tree_sandwich(n)
-        if not (report.lower_holds and report.upper_holds):
-            return False, f"fails at n={n}"
-    return True, "alternating-path lower and path upper bounds, n<=9"
-
-
-def _check_double_star():
-    first_star_failure = None
-    for n in range(2, 10):
-        report = verify_double_star(n)
-        if not (report.lower_holds and report.upper_holds):
-            return False, f"double-star bound fails at n={n}"
-        if not report.star_only_upper_holds and first_star_failure is None:
-            first_star_failure = n
-    return first_star_failure == 8, \
-        "bounds hold for n<=9; star-only variant first fails at n=8"
-
-
-def _check_dyck():
-    catalan = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
-    for n, count in catalan.items():
-        records = dyck_records(n)
-        if len(records) != count:
-            return False, f"count mismatch at n={n}"
-        if any(r.wiener % 2 for r in records):
-            return False, f"odd index at n={n}"
-    if dyck_record("UDUUDUDD").wiener != 32:
-        return False, "fixed 8-step record disagrees"
-    return True, "Catalan counts, even indices, fixed 8-step value"
-
-
-_SUITES = {
-    "core": (
-        ("square-path-family", _check_square_paths),
-        ("complete-cyclic-family", _check_complete_cyclic),
-        ("k4-exhaustive-negative", _check_k4_exhaustive),
-        ("fixture-rederivation", _check_fixture_rederivation),
-        ("fixture-recertification", _check_fixture_recertification),
-        ("subdivision-chain", _check_subdivision_chain),
-        ("union-composition", _check_union),
-        ("bipartite-cliques", _check_bipartite_cliques),
-        ("blowup-cycles", _check_blowups),
-        ("complete-rk-small", _check_complete_rk_small),
-        ("tree-squares", _check_tree_squares),
-        ("soltes-cycles", _check_soltes_cycles),
-    ),
-    "exhaustive": (
-        ("signed-thresholds", _check_thresholds),
-        ("connected-sweep", _check_connected_sweep),
-        ("theta-small", _check_theta_small),
-        ("complete-rk-large", _check_complete_rk_large),
-    ),
-    "conjectures": (
-        ("tree-sandwich", _check_sandwich),
-        ("double-star-bounds", _check_double_star),
-        ("alternating-paths", _check_dyck),
-    ),
-}
-
-
 def _cmd_reproduce(args) -> int:
-    checks = _SUITES[args.suite]
     rows = []
     all_ok = True
-    for label, thunk in checks:
-        ok, note = thunk()
+    for label, check in SUITES[args.suite]:
+        ok, note = check()
         all_ok = all_ok and ok
         rows.append({"check": label, "ok": ok})
         if args.format != "kv":

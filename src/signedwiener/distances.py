@@ -444,6 +444,8 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
 
     For r >= 3 it is the one on the numerically least vertex-set
     bitmask, lexicographically least when read backward from v."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError("vertex out of range")
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
     if coloring.r == 2:

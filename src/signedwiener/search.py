@@ -110,24 +110,12 @@ class MinWienerResult:
     examined: int
 
 
-def _gray_signings(m: int):
-    """Reflected Gray order over the half space (first edge +1), so
-    consecutive candidates differ in one sign."""
-    if m == 0:
-        yield ()
-        return
-    bits = m - 1
-    for i in range(1 << bits):
-        code = i ^ (i >> 1)
-        yield (1,) + tuple(-1 if (code >> (bits - 1 - j)) & 1 else 1
-                           for j in range(bits))
-
-
 def min_signed_wiener(g: Graph, *,
                       max_bits: int | None = None,
                       max_n: int | None = None) -> MinWienerResult:
     """Exact minimum of the signed Wiener index over all signings,
-    with the first minimizing signing in Gray-code order.
+    with the first minimizing signing in the order of
+    _half_space_signings (first edge +1, then lexicographic, +1 first).
 
     Infinite (argmin None) iff g is disconnected.  Each candidate is
     fully recomputed; the scan stops early only when a candidate meets
@@ -140,7 +128,7 @@ def min_signed_wiener(g: Graph, *,
     best: int | float = INFINITE
     best_signs = None
     examined = 0
-    for signs in _gray_signings(g.m):
+    for signs in _half_space_signings(g.m):
         examined += 1
         w = wiener_signed(g, signs, max_n=max_n)
         if w < best:

@@ -34,6 +34,7 @@ from .graphs import (
     parse_any,
     path_graph,
     square,
+    structural_report,
     theta_graph,
     union_at_vertex,
 )
@@ -350,26 +351,6 @@ def union_signing(w1: SignedWitness, w2: SignedWitness,
 # dense families
 
 
-def _derive_bipartition(g: Graph):
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for wv in g.neighbors(u):
-                if color[wv] == -1:
-                    color[wv] = 1 - color[u]
-                    stack.append(wv)
-                elif color[wv] == color[u]:
-                    raise ValueError("graph is not bipartite")
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
-
-
 def bipartite_clique_signing(gprime: Graph, k: int,
                              parts=None) -> SignedWitness:
     """Complete both sides of a bipartite graph into cliques: cross
@@ -381,7 +362,10 @@ def bipartite_clique_signing(gprime: Graph, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     if parts is None:
-        side_u, side_v = _derive_bipartition(gprime)
+        parts = structural_report(gprime).parts
+        if parts is None:
+            raise ValueError("graph is not bipartite")
+        side_u, side_v = parts
     else:
         side_u, side_v = tuple(parts[0]), tuple(parts[1])
         if sorted(side_u + side_v) != list(range(gprime.n)):

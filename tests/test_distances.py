@@ -202,6 +202,12 @@ class TestCancelingPaths:
                 chi = EdgeColoring(r, (1, 2, 1))
                 with pytest.raises(ValueError, match="source out of range"):
                     canceling_reach_row(g, chi, source)
+        k4 = complete_graph(4)
+        for r in (2, 3):
+            chi = EdgeColoring(r, (1, 2, 1, 2, 1, 2))
+            for u, v in ((99, 99), (0, -1), (0, 9), (-1, 2)):
+                with pytest.raises(ValueError, match="vertex out of range"):
+                    canceling_path_witness(k4, chi, u, v)
 
     def test_zero_reach_row(self):
         sq, signs = square_path_signs(6)
