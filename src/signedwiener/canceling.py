@@ -16,10 +16,8 @@ from .distances import (
     Signing,
     canceling_path_witness,
     canceling_reach_row,
-    signed_distance_row,
     wiener_classical,
     wiener_signed,
-    zero_reach_row,
 )
 from .graphs import Graph, delete_vertices, is_k_connected, structural_report
 

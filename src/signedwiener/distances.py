@@ -1,14 +1,17 @@
 """Exact signed and colored path statistics.
 
-The engine is a dynamic program over (visited-vertex bitmask, current
-vertex) states, expanded level by level so each state is touched once.
-Each state carries one integer bitset.  For signings, bit i marks the
-achievable sign sum i - (n-1).  For r >= 3 colorings, bit i marks the
-per-color edge counts written as the base-(q+1) digits of i, with
+One engine serves every query: a dynamic program over (visited-vertex
+bitmask, current vertex) states, expanded level by level so each state
+is touched once.  Each state carries one integer bitset, and crossing
+an edge is one masked shift read from a step table.  In the signed
+table bit 2p marks a path with p positive edges, so a length-L path
+sums to 2p - L; signed distances and r = 2 canceling queries use it.
+In the count table, used for every other r, bit i marks the per-color
+edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
-prefixes that do are dropped and an edge is one masked shift.
-Exponential, but exact, and comfortably fast at the sizes the guards
-admit.
+prefixes that do are dropped.  One backward walk over the stored
+levels yields every path witness.  Exponential, but exact, and
+comfortably fast at the sizes the guards admit.
 """
 
 from __future__ import annotations
@@ -127,38 +130,113 @@ class PathWitness:
 
 
 # ---------------------------------------------------------------------------
-# signed engine (r = 2, sums as offset bitsets)
+# the path engine: one level DP over step tables, one back-walk
 
-def _weighted_adjacency(g: Graph, signs):
-    return [tuple((w, signs[g.edge_index(v, w)]) for w in g.neighbors(v))
-            for v in range(g.n)]
+def _levels(g: Graph, steps, source: int):
+    """Yield, per path length L, {end: {mask: bitset}} over the simple
+    paths from source with L edges, holding only ends that have states.
 
-
-def _signed_levels(g: Graph, signs, source: int):
-    """Yield, per path length, the dict (mask, end) -> sum bitset.
-
-    Bit b of a bitset encodes the achievable sum b - (n-1).  Shifting
-    left on a +1 edge and right on a -1 edge keeps every sum in range
-    because |sum| <= path length <= n-1.
+    Crossing edge e maps a bitset x to (x & keep) << shift, with
+    steps[e] = (keep, shift); states whose bitset empties are dropped.
     """
-    adj = _weighted_adjacency(g, signs)
-    level = {(1 << source, source): 1 << (g.n - 1)}
-    yield level
+    adj = [[] for _ in range(g.n)]
+    for (a, w), (keep, shift) in zip(g.edges, steps):
+        adj[a].append((w, 1 << w, keep, shift))
+        adj[w].append((a, 1 << a, keep, shift))
+    level = {source: {1 << source: 1}}
     while level:
-        nxt: dict[tuple[int, int], int] = {}
-        for (mask, v), sums in level.items():
-            for w, s in adj[v]:
-                bit = 1 << w
-                if mask & bit:
-                    continue
-                shifted = sums << 1 if s == 1 else sums >> 1
-                key = (mask | bit, w)
-                prev = nxt.get(key)
-                nxt[key] = shifted if prev is None else prev | shifted
+        yield level
+        nxt = {}
+        for v, states in level.items():
+            nbrs = adj[v]
+            for mask, x in states.items():
+                for w, bit, keep, shift in nbrs:
+                    if mask & bit:
+                        continue
+                    shifted = (x & keep) << shift
+                    if shifted:
+                        out = nxt.get(w)
+                        if out is None:
+                            out = nxt[w] = {}
+                        key = mask | bit
+                        out[key] = out.get(key, 0) | shifted
         level = nxt
-        if level:
-            yield level
 
+
+def _signed_steps(signs):
+    """Bit 2p marks a path with p positive edges, so a path of length L
+    has sum 2p - L and sums to zero exactly at bit L; keep = -1 caps
+    nothing."""
+    return [(-1, 2 if s == 1 else 0) for s in signs]
+
+
+def _count_steps(n: int, r: int):
+    """Per-color steps and unit of the capped count table: bit i holds
+    the per-color edge counts as the base-b digits of i, b = q+1 with
+    q = (n-1) // r.  No canceling path uses a color more than q times,
+    so keep drops the prefixes whose color-c digit already is q, and a
+    color-c edge shifts by b**(c-1) without carrying; a path of length
+    j*r cancels exactly at bit j*unit, unit = 1 + b + ... + b**(r-1)."""
+    q = (n - 1) // r
+    b = q + 1
+    ones = (1 << b ** r) - 1
+    return ([(((1 << q * b ** p) - 1) * ones // ((1 << b ** (p + 1)) - 1),
+              b ** p) for p in range(r)],
+            sum(b ** p for p in range(r)))
+
+
+def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
+    """Steps and unit of a canceling query: a path of length j*r
+    cancels iff bit j*unit is set.  Two colors run on the narrower
+    signed table (color 1 as +1) under the signed guard; every other r
+    on the count table."""
+    if coloring.r == 2:
+        _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
+        return _signed_steps(1 if c == 1 else -1 for c in coloring.colors), 2
+    _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
+    by_color, unit = _count_steps(g.n, coloring.r)
+    return [by_color[c - 1] for c in coloring.colors], unit
+
+
+def _first_path(g: Graph, steps, u: int, v: int, wanted):
+    """The vertices of the first uv-path the DP finds, or None.
+
+    wanted(L) lists the bits sought at length L, preferred first.  The
+    path is the shortest, then the first wanted bit, then the least
+    vertex-set bitmask, then as _walk_back picks.
+    """
+    levels = []
+    for length, level in enumerate(_levels(g, steps, u)):
+        levels.append(level)
+        states = level.get(v, {})
+        for i in wanted(length):
+            masks = [mask for mask, x in states.items() if x >> i & 1]
+            if masks:
+                return _walk_back(g, steps, levels, v, min(masks), i)
+    return None
+
+
+def _walk_back(g: Graph, steps, levels, v: int, mask: int, i: int):
+    """The path behind bit i of state (mask, v) in the last of levels,
+    taking the least predecessor at each step back, i.e. the least path
+    read backward from v."""
+    path = [v]
+    for level in reversed(levels[:-1]):
+        mask &= ~(1 << v)
+        for w in sorted(g.neighbors(v)):
+            keep, shift = steps[g.edge_index(w, v)]
+            if mask >> w & 1 and i >= shift and \
+                    (level.get(w, {}).get(mask, 0) & keep) >> (i - shift) & 1:
+                path.append(w)
+                v, i = w, i - shift
+                break
+        else:
+            raise AssertionError("broken witness chain")
+    return path[::-1]
+
+
+# ---------------------------------------------------------------------------
+# signed distances
 
 def _min_abs_from_acc(acc: int, offset: int):
     if acc == 0:
@@ -187,17 +265,30 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     acc = [0] * g.n
     acc[source] = zero_bit
     undone = g.n - 1
-    for level in _signed_levels(g, signs, source):
-        for (mask, v), sums in level.items():
+    for length, level in enumerate(_levels(g, _signed_steps(signs), source)):
+        for v, states in level.items():
             if acc[v] & zero_bit:
                 continue
-            acc[v] |= sums
-            if sums & zero_bit:
+            sums = 0
+            for x in states.values():
+                sums |= x
+            acc[v] |= sums << offset - length
+            if acc[v] & zero_bit:
                 undone -= 1
         if undone == 0:
             break
     return [0 if a & zero_bit else _min_abs_from_acc(a, offset)
             for a in acc]
+
+
+def _sums_to(g: Graph, signs, u: int, v: int):
+    """Yield, after each path length, the sign sums of the simple
+    uv-paths seen so far as an offset bitset: bit n-1+s marks sum s."""
+    acc = 0
+    for length, level in enumerate(_levels(g, _signed_steps(signs), u)):
+        for x in level.get(v, {}).values():
+            acc |= x << g.n - 1 - length
+        yield acc
 
 
 def signed_distance(g: Graph, signing, u: int, v: int, *,
@@ -212,15 +303,9 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
         return 0
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
     offset = g.n - 1
-    zero_bit = 1 << offset
-    acc = 0
-    for level in _signed_levels(g, signs, u):
-        for (mask, w), sums in level.items():
-            if w != v:
-                continue
-            if sums & zero_bit:
-                return 0
-            acc |= sums
+    for acc in _sums_to(g, signs, u, v):
+        if acc >> offset & 1:
+            return 0
     return _min_abs_from_acc(acc, offset)
 
 
@@ -240,11 +325,7 @@ def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
         return {0}
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "path-sum sweep")
     offset = g.n - 1
-    acc = 0
-    for level in _signed_levels(g, signs, u):
-        for (mask, w), sums in level.items():
-            if w == v:
-                acc |= sums
+    *_, acc = _sums_to(g, signs, u, v)
     return {b - offset for b in range(2 * offset + 1) if (acc >> b) & 1}
 
 
@@ -254,76 +335,18 @@ def zero_reach_row(g: Graph, signing, source: int, *,
     sum exactly 0 (v == source counts via the empty path)."""
     signs = _signs_of(signing)
     _validate_lengths(g, signs, "signing")
-    if not 0 <= source < g.n:
-        raise ValueError("source out of range")
-    _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
-    zero_bit = 1 << (g.n - 1)
-    reach = [False] * g.n
-    reach[source] = True
-    undone = g.n - 1
-    for level in _signed_levels(g, signs, source):
-        for (mask, v), sums in level.items():
-            if not reach[v] and sums & zero_bit:
-                reach[v] = True
-                undone -= 1
-        if undone == 0:
-            break
-    return reach
-
-
-def _signed_witness(g: Graph, signs, u: int, v: int, d: int) -> PathWitness:
-    """Reconstruct a shortest path attaining |sum| = d by walking DP
-    levels backward.  Caller guarantees d is attained."""
-    offset = g.n - 1
-    levels = []
-    hit = None
-    for level in _signed_levels(g, signs, u):
-        levels.append(level)
-        length = len(levels) - 1
-        for (mask, w), sums in level.items():
-            if w != v:
-                continue
-            for s_final in (d, -d):
-                if (sums >> (offset + s_final)) & 1:
-                    hit = (mask, s_final, length)
-                    break
-            if hit:
-                break
-        if hit:
-            break
-    if hit is None:
-        raise AssertionError("witness requested for unattained distance")
-    mask, s, length = hit
-    path = [v]
-    cur = v
-    for lev in range(length, 0, -1):
-        prev_mask = mask & ~(1 << cur)
-        found = False
-        for w in sorted(g.neighbors(cur)):
-            if not prev_mask & (1 << w):
-                continue
-            s_prev = s - signs[g.edge_index(w, cur)]
-            if abs(s_prev) > offset:
-                continue
-            sums = levels[lev - 1].get((prev_mask, w))
-            if sums is not None and (sums >> (offset + s_prev)) & 1:
-                path.append(w)
-                mask, cur, s = prev_mask, w, s_prev
-                found = True
-                break
-        if not found:
-            raise AssertionError("broken witness chain")
-    path.reverse()
-    signing = Signing(tuple(signs))
-    return PathWitness.from_vertices(g, path, signing.as_coloring())
+    return canceling_reach_row(g, Signing(signs).as_coloring(), source,
+                               max_n=max_n)
 
 
 def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
                                  max_n: int | None = None):
     """Signed distance plus a path attaining it (None when INFINITE).
 
-    Keeps every DP level in memory for the backward walk, so it is
-    costlier than signed_distance; intended for certificate output.
+    The path is the shortest attaining |sum| = d, with sum +d before
+    -d, then as canceling_path_witness picks.  Keeps every DP level in
+    memory for the backward walk, so it is costlier than
+    signed_distance; intended for certificate output.
     """
     d = signed_distance(g, signing, u, v, max_n=max_n)
     if d is INFINITE:
@@ -332,78 +355,39 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
     if u == v:
         empty = PathWitness((u,), (), (0, 0))
         return 0, empty
-    return d, _signed_witness(g, signs, u, v, d)
+    # a length-L path with sum s sets bit L + s
+    path = _first_path(g, _signed_steps(signs), u, v,
+                      lambda length: (length + d, length - d)
+                      if length >= d else ())
+    return d, PathWitness.from_vertices(g, path, Signing(signs).as_coloring())
 
 
 # ---------------------------------------------------------------------------
-# colored engine (r >= 3, capped color counts as bitsets; r = 2 delegates)
-
-def _count_layout(n: int, r: int):
-    """(b, keep, step) of the colored bitsets: base b = q+1; keep[c-1]
-    holds the indices whose color-c digit is below q, so a color-c edge
-    shifts by b**(c-1) without carrying; a path of length j*r cancels
-    exactly when bit j*step is set, step = 1 + b + ... + b**(r-1)."""
-    q = (n - 1) // r
-    b = q + 1
-    ones = (1 << b ** r) - 1
-    keep = tuple(((1 << q * b ** p) - 1) * ones // ((1 << b ** (p + 1)) - 1)
-                 for p in range(r))
-    return b, keep, sum(b ** p for p in range(r))
-
-
-def _colored_levels(g: Graph, coloring: EdgeColoring, source: int):
-    """Yield, per path length L, the list over end vertices of dicts
-    mask -> count bitset (see _count_layout), and the bit marking a
-    canceling path of length L, or 0 when none can cancel.  States
-    whose bitset empties are not stored."""
-    n, r = g.n, coloring.r
-    b, keep, step = _count_layout(n, r)
-    adj = [[] for _ in range(n)]
-    for (a, w), c in zip(g.edges, coloring.colors):
-        adj[a].append((w, 1 << w, keep[c - 1], b ** (c - 1)))
-        adj[w].append((a, 1 << a, keep[c - 1], b ** (c - 1)))
-    level = [{} for _ in range(n)]
-    level[source][1 << source] = 1
-    length = 0
-    while any(level):
-        yield level, (1 << length // r * step
-                      if length and length % r == 0 else 0)
-        nxt = [{} for _ in range(n)]
-        for v, states in enumerate(level):
-            for w, bit, keep_c, shift in adj[v]:
-                out = nxt[w]
-                for mask, counts in states.items():
-                    if mask & bit:
-                        continue
-                    shifted = (counts & keep_c) << shift
-                    if shifted:
-                        key = mask | bit
-                        out[key] = out.get(key, 0) | shifted
-        level = nxt
-        length += 1
-
+# canceling paths (every color equally often)
 
 def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         max_n: int | None = None) -> list[bool]:
     """For each vertex v, whether some simple path from source uses all
     r colors equally often (source itself: yes, empty path)."""
-    if coloring.r == 2:
-        signs = tuple(1 if c == 1 else -1 for c in coloring.colors)
-        return zero_reach_row(g, signs, source, max_n=max_n)
     _validate_lengths(g, coloring.colors, "coloring")
     if not 0 <= source < g.n:
         raise ValueError("source out of range")
-    _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
+    steps, unit = _cancel_table(g, coloring, max_n)
+    r = coloring.r
     reach = [False] * g.n
     reach[source] = True
     undone = g.n - 1
-    for level, cancel in _colored_levels(g, coloring, source):
-        if not cancel:
+    for length, level in enumerate(_levels(g, steps, source)):
+        if length % r:
             continue
-        for v, states in enumerate(level):
-            if not reach[v] and any(c & cancel for c in states.values()):
-                reach[v] = True
-                undone -= 1
+        cancel = 1 << length // r * unit
+        for v, states in level.items():
+            if not reach[v]:
+                for x in states.values():
+                    if x & cancel:
+                        reach[v] = True
+                        undone -= 1
+                        break
         if undone == 0:
             break
     return reach
@@ -420,70 +404,33 @@ def exists_canceling_path(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
         raise ValueError("vertex out of range")
     if u == v:
         return True
-    if coloring.r == 2:
-        signs = tuple(1 if c == 1 else -1 for c in coloring.colors)
-        _validate_lengths(g, signs, "coloring")
-        _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
-        zero_bit = 1 << (g.n - 1)
-        for level in _signed_levels(g, signs, u):
-            for (mask, w), sums in level.items():
-                if w == v and sums & zero_bit:
-                    return True
-        return False
     _validate_lengths(g, coloring.colors, "coloring")
-    _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
-    for level, cancel in _colored_levels(g, coloring, u):
-        if cancel and any(c & cancel for c in level[v].values()):
+    steps, unit = _cancel_table(g, coloring, max_n)
+    r = coloring.r
+    for length, level in enumerate(_levels(g, steps, u)):
+        cancel = 1 << length // r * unit
+        if length % r == 0 and \
+                any(x & cancel for x in level.get(v, {}).values()):
             return True
     return False
 
 
 def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
                            max_n: int | None = None) -> PathWitness | None:
-    """A shortest canceling uv-path, or None if there is none.
-
-    For r >= 3 it is the one on the numerically least vertex-set
-    bitmask, lexicographically least when read backward from v."""
+    """A shortest canceling uv-path, or None if there is none: the one
+    on the numerically least vertex-set bitmask, lexicographically
+    least when read backward from v."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex out of range")
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
-    if coloring.r == 2:
-        signs = tuple(1 if c == 1 else -1 for c in coloring.colors)
-        row = zero_reach_row(g, signs, u, max_n=max_n)
-        if not row[v]:
-            return None
-        return _signed_witness(g, signs, u, v, 0)
     _validate_lengths(g, coloring.colors, "coloring")
-    _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
-    levels = []
-    for level, cancel in _colored_levels(g, coloring, u):
-        levels.append(level)
-        ends = [mask for mask, c in level[v].items() if c & cancel]
-        if ends:
-            break
-    else:
-        return None
-    mask, i = min(ends), cancel.bit_length() - 1
-    b = _count_layout(g.n, coloring.r)[0]
-    path = [v]
-    cur = v
-    for lev in range(len(levels) - 1, 0, -1):
-        prev_mask = mask & ~(1 << cur)
-        for w in sorted(g.neighbors(cur)):
-            if not prev_mask & (1 << w):
-                continue
-            step = b ** (coloring.colors[g.edge_index(w, cur)] - 1)
-            if i // step % b == 0:
-                continue
-            if levels[lev - 1][w].get(prev_mask, 0) >> (i - step) & 1:
-                path.append(w)
-                mask, cur, i = prev_mask, w, i - step
-                break
-        else:
-            raise AssertionError("broken witness chain")
-    path.reverse()
-    return PathWitness.from_vertices(g, path, coloring)
+    steps, unit = _cancel_table(g, coloring, max_n)
+    r = coloring.r
+    path = _first_path(g, steps, u, v, lambda length: () if length % r
+                      else (length // r * unit,))
+    return None if path is None else PathWitness.from_vertices(g, path,
+                                                               coloring)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ def _check_k4_exhaustive():
 
 def _check_fixture_rederivation():
     ok = True
-    for tag, kind, k in (("c7sq", "k-canceling", 2), ("p6sq", "w-zero", None)):
+    for tag in SPECIAL_TAGS:
+        kind, k = ("k-canceling", 2) if tag == "c7sq" else ("w-zero", None)
         fresh = derive_special_witness(tag)
         ok = (ok and _confirmed(fresh) and fresh.claim.kind == kind
               and fresh.claim.k == k

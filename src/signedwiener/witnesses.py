@@ -44,10 +44,6 @@ CLAIM_KINDS = ("w-zero", "k-canceling", "rk-canceling")
 
 SPECIAL_TAGS = ("c7sq", "p6sq", "theta4", "g_small_even", "g_small_odd")
 
-# fixtures with more vertices than this are exempt from routine
-# re-certification (none currently are)
-RECERTIFY_MAX_N = 12
-
 
 @dataclass(frozen=True)
 class Claim:

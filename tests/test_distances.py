@@ -49,7 +49,7 @@ def random_graph(rng, n, p=0.5):
 
 
 def colored_cases(seed, trials):
-    """Random r-colorings with r in 3..6 on at most 8 vertices (r > n-1
+    """Random r-colorings with r in 2..6 on at most 8 vertices (r > n-1
     included), then cap-tight ones: a path or cycle on q*r+1 vertices
     colored 1..r in turn, whose canceling paths use each color exactly
     q = (n-1) // r times."""
@@ -57,7 +57,7 @@ def colored_cases(seed, trials):
     for trial in range(trials):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, 0.6 if n <= 6 else 0.45)
-        r = rng.choice((3, 4, 5, 6))
+        r = rng.choice((2, 3, 4, 5, 6))
         used = rng.randint(1, r)
         yield g, EdgeColoring(r, tuple(rng.randint(1, used)
                                        for _ in range(g.m)))
@@ -137,6 +137,30 @@ class TestWitness:
                 continue
             assert w.vertices[0] == u and w.vertices[-1] == v
             assert abs(sum(signs[i] for i in w.edge_indices)) == d
+
+    def test_witness_follows_the_stated_rule(self):
+        # shortest, sum +d before -d, least vertex set, then least
+        # read backward from v
+        rng = random.Random(61)
+        for trial in range(40):
+            g = random_graph(rng, rng.randint(2, 8), 0.5)
+            signs = tuple(rng.choice((1, -1)) for _ in range(g.m))
+            lut = naive.edge_lookup(g.edges)
+            for u in range(g.n):
+                for v in range(g.n):
+                    d, w = signed_distance_with_witness(g, signs, u, v)
+                    assert d == naive.signed_distance(g.n, g.edges, signs,
+                                                      u, v)
+                    sums = {p: sum(signs[i]
+                                   for i in naive.path_edge_indices(p, lut))
+                            for p in naive.simple_paths(g.n, g.edges, u, v)}
+                    if d is INFINITE:
+                        assert w is None and not sums
+                        continue
+                    assert w.vertices == min(
+                        (p for p, s in sums.items() if abs(s) == d),
+                        key=lambda p: (len(p), sums[p] != d,
+                                       sum(1 << x for x in p), p[::-1]))
 
     def test_empty_witness(self):
         g = path_graph(2)
