@@ -185,12 +185,17 @@ def _count_steps(n: int, r: int):
             sum(b ** p for p in range(r)))
 
 
-def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
-    """Steps and unit of a canceling query: a path of length j*r
-    cancels iff bit j*unit is set.  Two colors run on the narrower
-    signed table (color 1 as +1) under the signed guard; every other r
-    on the count table."""
-    if coloring.r == 2:
+def _cancel_table(g: Graph, coloring: EdgeColoring, source: int, max_n):
+    """Check a canceling query from source (the coloring's length, then
+    the source, then the guard) and return its steps and unit: a path
+    of length j*r cancels iff bit j*unit is set.  Two colors are
+    checked as a signing and run on the narrower signed table (color 1
+    as +1) under the signed guard; every other r on the count table."""
+    two = coloring.r == 2
+    _validate_lengths(g, coloring.colors, "signing" if two else "coloring")
+    if not 0 <= source < g.n:
+        raise ValueError("source out of range")
+    if two:
         _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
         return _signed_steps(1 if c == 1 else -1 for c in coloring.colors), 2
     _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
@@ -333,10 +338,8 @@ def zero_reach_row(g: Graph, signing, source: int, *,
                    max_n: int | None = None) -> list[bool]:
     """For each vertex v, whether some simple path from source has sign
     sum exactly 0 (v == source counts via the empty path)."""
-    signs = _signs_of(signing)
-    _validate_lengths(g, signs, "signing")
-    return canceling_reach_row(g, Signing(signs).as_coloring(), source,
-                               max_n=max_n)
+    return canceling_reach_row(g, Signing(_signs_of(signing)).as_coloring(),
+                               source, max_n=max_n)
 
 
 def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
@@ -369,10 +372,7 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         max_n: int | None = None) -> list[bool]:
     """For each vertex v, whether some simple path from source uses all
     r colors equally often (source itself: yes, empty path)."""
-    _validate_lengths(g, coloring.colors, "coloring")
-    if not 0 <= source < g.n:
-        raise ValueError("source out of range")
-    steps, unit = _cancel_table(g, coloring, max_n)
+    steps, unit = _cancel_table(g, coloring, source, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
@@ -405,14 +405,7 @@ def exists_canceling_path(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
     if u == v:
         return True
     _validate_lengths(g, coloring.colors, "coloring")
-    steps, unit = _cancel_table(g, coloring, max_n)
-    r = coloring.r
-    for length, level in enumerate(_levels(g, steps, u)):
-        cancel = 1 << length // r * unit
-        if length % r == 0 and \
-                any(x & cancel for x in level.get(v, {}).values()):
-            return True
-    return False
+    return canceling_reach_row(g, coloring, u, max_n=max_n)[v]
 
 
 def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
@@ -424,8 +417,7 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
         raise ValueError("vertex out of range")
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
-    _validate_lengths(g, coloring.colors, "coloring")
-    steps, unit = _cancel_table(g, coloring, max_n)
+    steps, unit = _cancel_table(g, coloring, u, max_n)
     r = coloring.r
     path = _first_path(g, steps, u, v, lambda length: () if length % r
                       else (length // r * unit,))

@@ -203,7 +203,7 @@ class TestCancelingPaths:
                     assert exists_canceling_path(g, chi, u, v) == expect
 
     def test_r3_matches_naive_oracle(self):
-        for g, chi in colored_cases(29, 60):
+        for g, chi in colored_cases(29, 75):
             for u in range(g.n):
                 for v in range(g.n):
                     assert exists_canceling_path(g, chi, u, v) == \
@@ -211,7 +211,7 @@ class TestCancelingPaths:
                                                     chi.r, u, v)
 
     def test_reach_row_matches_pair_queries(self):
-        for g, chi in colored_cases(31, 40):
+        for g, chi in colored_cases(31, 50):
             for u in range(g.n):
                 row = canceling_reach_row(g, chi, u)
                 for v in range(g.n):
@@ -233,6 +233,20 @@ class TestCancelingPaths:
                 with pytest.raises(ValueError, match="vertex out of range"):
                     canceling_path_witness(k4, chi, u, v)
 
+    def test_wrong_length_messages(self):
+        # two colors are checked as a signing, except by the pair query
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="signing has 2 entries"):
+            zero_reach_row(g, (1, -1), 0)
+        for r, what in ((2, "signing"), (3, "coloring")):
+            chi = EdgeColoring(r, (1, 2))
+            with pytest.raises(ValueError, match=f"{what} has 2 entries"):
+                canceling_reach_row(g, chi, 0)
+            with pytest.raises(ValueError, match=f"{what} has 2 entries"):
+                canceling_path_witness(g, chi, 0, 3)
+            with pytest.raises(ValueError, match="coloring has 2 entries"):
+                exists_canceling_path(g, chi, 0, 3)
+
     def test_zero_reach_row(self):
         sq, signs = square_path_signs(6)
         reach = zero_reach_row(sq, signs, 0)
@@ -243,7 +257,7 @@ class TestCancelingPaths:
         k5 = complete_graph(5)
         cases = [(k5, EdgeColoring(3, tuple(rng.randint(1, 3)
                                             for _ in range(k5.m))))]
-        for g, chi in cases + list(colored_cases(43, 40)):
+        for g, chi in cases + list(colored_cases(43, 50)):
             for u in range(g.n):
                 for v in range(g.n):
                     w = canceling_path_witness(g, chi, u, v)
