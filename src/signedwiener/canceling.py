@@ -65,10 +65,12 @@ def _build_witness_table(g: Graph, coloring: EdgeColoring, max_n):
     return table
 
 
-def _check_deletions(g: Graph, coloring: EdgeColoring, sizes, *, max_n):
-    """Certificate of the first pair with no canceling path after
-    deleting a set whose size runs over `sizes`; None if all pairs
-    cancel.  Deletion sets enumerate in size-then-lex order."""
+def _deletion_verdict(g: Graph, coloring: EdgeColoring, sizes, *, max_n,
+                      with_witnesses: bool = False) -> CancelingVerdict:
+    """Whether every pair has a canceling path after deleting any set
+    whose size runs over `sizes`.  Deletion sets enumerate in
+    size-then-lex order, so a failure certifies the first pair found;
+    a success carries the witness table when asked for."""
     for size in sizes:
         if size >= g.n:
             continue
@@ -83,8 +85,11 @@ def _check_deletions(g: Graph, coloring: EdgeColoring, sizes, *, max_n):
                                           max_n=max_n)
                 for v in range(u + 1, sub.graph.n):
                     if not row[v]:
-                        return dead, back[u], back[v]
-    return None
+                        return CancelingVerdict(
+                            False, (dead, back[u], back[v]))
+    table = _build_witness_table(g, coloring, max_n) if with_witnesses \
+        else None
+    return CancelingVerdict(True, witness_table=table)
 
 
 def is_k_canceling_signing(g: Graph, signing, k: int, *,
@@ -103,14 +108,8 @@ def is_k_canceling_signing(g: Graph, signing, k: int, *,
     if g.n <= k:
         raise ValueError(
             f"k-canceling check needs n >= k+1 (n={g.n}, k={k})")
-    coloring = _as_signing(signing).as_coloring()
-    cert = _check_deletions(g, coloring, [k - 1], max_n=max_n)
-    if cert is not None:
-        return CancelingVerdict(False, cert)
-    table = None
-    if with_witnesses:
-        table = _build_witness_table(g, coloring, max_n)
-    return CancelingVerdict(True, witness_table=table)
+    return _deletion_verdict(g, _as_signing(signing).as_coloring(), [k - 1],
+                             max_n=max_n, with_witnesses=with_witnesses)
 
 
 def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
@@ -126,14 +125,8 @@ def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    chi = _as_coloring(coloring)
-    cert = _check_deletions(g, chi, range(k), max_n=max_n)
-    if cert is not None:
-        return CancelingVerdict(False, cert)
-    table = None
-    if with_witnesses:
-        table = _build_witness_table(g, chi, max_n)
-    return CancelingVerdict(True, witness_table=table)
+    return _deletion_verdict(g, _as_coloring(coloring), range(k),
+                             max_n=max_n, with_witnesses=with_witnesses)
 
 
 @dataclass(frozen=True)
@@ -151,9 +144,7 @@ def rk_shortcut_agreement(g: Graph, coloring, k: int, *,
     given the same (r,k) verdict."""
     chi = _as_coloring(coloring)
     literal = is_rk_canceling_coloring(g, chi, k, max_n=max_n)
-    cert = _check_deletions(g, chi, [k - 1], max_n=max_n)
-    shortcut = (CancelingVerdict(True) if cert is None
-                else CancelingVerdict(False, cert))
+    shortcut = _deletion_verdict(g, chi, [k - 1], max_n=max_n)
     return ShortcutProbe(literal, shortcut, literal.holds == shortcut.holds)
 
 

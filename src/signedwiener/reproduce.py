@@ -3,7 +3,8 @@
 SUITES maps a suite name to its ordered (label, check) pairs; each
 check() re-derives one claim from scratch and returns (ok, note), so a
 failed run pinpoints itself.  The CLI's `reproduce` command and the
-acceptance tests both run this table.
+acceptance tests both run this table.  derive_special_witness re-runs
+the searches behind the frozen fixtures of `signedwiener.witnesses`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import math
 from .canceling import necessary_conditions, soltes_check_classical
 from .distances import signed_distance_row
 from .graphs import (
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    path_graph,
+    square,
     theta_graph,
 )
 from .search import (
@@ -31,13 +35,14 @@ from .search import (
 )
 from .witnesses import (
     SPECIAL_TAGS,
+    Claim,
     SignedWitness,
+    _edge_qualifies,
     bipartite_clique_signing,
     blowup_cycle_signing,
     certify,
     complete_cyclic_signing,
     complete_rk_coloring,
-    derive_special_witness,
     emit_witness,
     special_witness,
     square_path_signing,
@@ -45,6 +50,37 @@ from .witnesses import (
     subdivision_extend,
     union_signing,
 )
+
+
+def _special_base(tag: str) -> tuple[Graph, Claim]:
+    if tag == "c7sq":
+        return square(cycle_graph(7)), Claim("k-canceling", k=2)
+    if tag == "p6sq":
+        return square(path_graph(6)), Claim("w-zero")
+    if tag == "theta4":
+        return theta_graph((1, 2, 2, 3)), Claim("w-zero")
+    if tag == "g_small_even":
+        return complete_graph(4), Claim("w-zero")
+    if tag == "g_small_odd":
+        return square(path_graph(5)), Claim("w-zero")
+    raise ValueError(f"unknown special witness tag {tag!r}")
+
+
+def derive_special_witness(tag: str) -> SignedWitness:
+    """Re-run the search that produced a fixture: lexicographically
+    least qualifying signing, and for the seed graphs the least edge
+    satisfying the subdivision hypothesis."""
+    g, claim = _special_base(tag)
+    k = claim.k if claim.kind == "k-canceling" else 1
+    res = find_k_canceling_signing(g, k, use_filter=False)
+    if not res.found:
+        raise RuntimeError(f"no qualifying signing exists for {tag}")
+    designated = None
+    if tag in ("g_small_even", "g_small_odd"):
+        designated = next(e for e in range(g.m)
+                          if _edge_qualifies(g, res.witness.signs, e))
+    return SignedWitness(f"special-{tag}", g, claim, signing=res.witness,
+                         designated_edge=designated)
 
 
 def _confirmed(w: SignedWitness) -> bool:

@@ -31,6 +31,7 @@ from .distances import (
     wiener_signed,
 )
 from .graphs import Graph, complete_graph, is_connected, path_graph, star_graph
+from .witnesses import complete_cyclic_signing, complete_rk_coloring
 
 # 2^22 candidate signings is a few minutes of checking; beyond that the
 # caller must opt in explicitly.
@@ -75,6 +76,17 @@ def _half_space_signings(m: int):
         yield (1,) + rest
 
 
+def _first_hit(candidates, holds):
+    """The first candidate that holds (None if none does) and how many
+    candidates were examined to find it."""
+    examined = 0
+    for candidate in candidates:
+        examined += 1
+        if holds(candidate):
+            return candidate, examined
+    return None, examined
+
+
 def find_k_canceling_signing(g: Graph, k: int, *,
                              use_filter: bool = True,
                              max_bits: int | None = None,
@@ -94,13 +106,10 @@ def find_k_canceling_signing(g: Graph, k: int, *,
     if use_filter and not necessary_conditions(g, k).passes:
         return SearchResult(False, None, 0, 2, filtered=True)
     _check_bits(max(g.m - 1, 0), max_bits, "signing search")
-    examined = 0
-    for signs in _half_space_signings(g.m):
-        examined += 1
-        sigma = Signing(signs)
-        if is_k_canceling_signing(g, sigma, k, max_n=max_n).holds:
-            return SearchResult(True, sigma, examined, 2)
-    return SearchResult(False, None, examined, 2)
+    hit, examined = _first_hit(
+        map(Signing, _half_space_signings(g.m)),
+        lambda sigma: is_k_canceling_signing(g, sigma, k, max_n=max_n).holds)
+    return SearchResult(hit is not None, hit, examined, 2)
 
 
 @dataclass(frozen=True)
@@ -138,31 +147,6 @@ def min_signed_wiener(g: Graph, *,
     return MinWienerResult(best, Signing(best_signs), examined)
 
 
-def _cyclic_signs(n: int) -> tuple[int, ...]:
-    # +1 on the Hamilton cycle v0 v1 ... v_{n-1} v0 of K_n, -1 on chords
-    kn = complete_graph(n)
-    return tuple(1 if v - u == 1 or (u == 0 and v == n - 1) else -1
-                 for u, v in kn.edges)
-
-
-def _cycle_coloring_colors(n: int, r: int, k: int) -> tuple[int, ...] | None:
-    # colors 1..r-1 cycle along an m-vertex Hamilton cycle, color r on
-    # everything else; only defined for k >= 2 and n large enough
-    m = 3 * (k - 1) * (r - 1)
-    if k < 2 or n < m or m < 3:
-        return None
-    kn = complete_graph(n)
-
-    def color(u: int, v: int) -> int:
-        if v < m and v - u == 1:
-            return u % (r - 1) + 1
-        if u == 0 and v == m - 1:
-            return (m - 1) % (r - 1) + 1
-        return r
-
-    return tuple(color(u, v) for u, v in kn.edges)
-
-
 def _surjective_growth_colorings(m: int, r: int):
     """Colorings of m edges modulo color permutation: first occurrences
     appear in increasing color order, and all r colors are used."""
@@ -192,34 +176,32 @@ class ThresholdRow:
 def _threshold_one(args) -> ThresholdRow:
     r, k, n, max_bits, max_n = args
     kn = complete_graph(n)
-    examined = 0
     if r == 2:
-        # the cyclic signing settles most positive rows instantly
-        probe = Signing(_cyclic_signs(n))
-        examined += 1
-        if is_k_canceling_signing(kn, probe, k, max_n=max_n).holds:
-            return ThresholdRow(n, True, examined, probe)
-        _check_bits(kn.m - 1, max_bits, f"threshold scan at n={n}")
-        for signs in _half_space_signings(kn.m):
-            examined += 1
-            sigma = Signing(signs)
-            if is_k_canceling_signing(kn, sigma, k, max_n=max_n).holds:
-                return ThresholdRow(n, True, examined, sigma)
-        return ThresholdRow(n, False, examined, None)
-    structured = _cycle_coloring_colors(n, r, k)
-    if structured is not None:
-        examined += 1
-        chi = EdgeColoring(r, structured)
-        if is_rk_canceling_coloring(kn, chi, k, max_n=max_n).holds:
-            return ThresholdRow(n, True, examined, chi)
-    bits = math.ceil(kn.m * math.log2(r))
-    _check_bits(bits, max_bits, f"threshold scan at n={n}")
-    for colors in _surjective_growth_colorings(kn.m, r):
-        examined += 1
-        chi = EdgeColoring(r, colors)
-        if is_rk_canceling_coloring(kn, chi, k, max_n=max_n).holds:
-            return ThresholdRow(n, True, examined, chi)
-    return ThresholdRow(n, False, examined, None)
+        # the cyclic signing settles most positive rows instantly; K_2
+        # has no cycle, so its one all-plus signing stands in
+        probes = [complete_cyclic_signing(n).signing if n >= 3
+                  else Signing((1,))]
+        bits = kn.m - 1
+        space = map(Signing, _half_space_signings(kn.m))
+        verdict = is_k_canceling_signing
+    else:
+        # the paper's coloring exists for k >= 2 on enough vertices
+        probes = [complete_rk_coloring(n, r, k).coloring] \
+            if k >= 2 and n >= 3 * (k - 1) * (r - 1) else []
+        bits = math.ceil(kn.m * math.log2(r))
+        space = (EdgeColoring(r, colors)
+                 for colors in _surjective_growth_colorings(kn.m, r))
+        verdict = is_rk_canceling_coloring
+
+    def holds(candidate) -> bool:
+        return verdict(kn, candidate, k, max_n=max_n).holds
+
+    hit, examined = _first_hit(probes, holds)
+    if hit is None:
+        _check_bits(bits, max_bits, f"threshold scan at n={n}")
+        hit, swept = _first_hit(space, holds)
+        examined += swept
+    return ThresholdRow(n, hit is not None, examined, hit)
 
 
 def threshold_scan(r: int, k: int, n_range, *,
@@ -481,7 +463,7 @@ class DoubleStarReport:
     star_counterexample: Graph | None
 
 
-def verify_double_star(n: int, *, workers: int = 1) -> DoubleStarReport:
+def verify_double_star(n: int) -> DoubleStarReport:
     if not 2 <= n <= TREE_MAX_N:
         raise ValueError(f"double-star scan supports 2 <= n <= {TREE_MAX_N}")
     path_value = min_wiener_over_signings(path_graph(n))

@@ -4,8 +4,8 @@ with the claims they must satisfy.
 Each builder returns a SignedWitness whose claim names the property the
 verifiers can certify (zero signed Wiener index, k-canceling, or
 (r,k)-canceling), with expected=False for the known boundary cases.
-Search-derived witnesses are shipped as frozen fixture files and can be
-re-derived deterministically for comparison.
+Search-derived witnesses are shipped as frozen fixture files;
+`signedwiener.reproduce.derive_special_witness` re-derives them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .distances import (
 from .graphs import (
     Graph,
     blowup_cycle_graph,
+    blowup_parts,
     complete_graph,
     cycle_graph,
     emit_colored_graph,
@@ -35,10 +36,8 @@ from .graphs import (
     path_graph,
     square,
     structural_report,
-    theta_graph,
     union_at_vertex,
 )
-from .search import find_k_canceling_signing
 
 CLAIM_KINDS = ("w-zero", "k-canceling", "rk-canceling")
 
@@ -231,52 +230,7 @@ def square_cycle_signing(n: int) -> SignedWitness:
 
 
 # ---------------------------------------------------------------------------
-# search-derived fixtures
-
-
-def _special_base(tag: str) -> tuple[Graph, Claim]:
-    if tag == "c7sq":
-        return square(cycle_graph(7)), Claim("k-canceling", k=2)
-    if tag == "p6sq":
-        return square(path_graph(6)), Claim("w-zero")
-    if tag == "theta4":
-        return theta_graph((1, 2, 2, 3)), Claim("w-zero")
-    if tag == "g_small_even":
-        return complete_graph(4), Claim("w-zero")
-    if tag == "g_small_odd":
-        return square(path_graph(5)), Claim("w-zero")
-    raise ValueError(f"unknown special witness tag {tag!r}")
-
-
-def _drop_edge(g: Graph, signs: tuple[int, ...], e: int):
-    edges = [ed for i, ed in enumerate(g.edges) if i != e]
-    rest = tuple(s for i, s in enumerate(signs) if i != e)
-    return Graph(g.n, edges), rest
-
-
-def _edge_qualifies(g: Graph, signs: tuple[int, ...], e: int) -> bool:
-    # a cycle through e summing to -sign(e) is an e-avoiding endpoint
-    # path summing to -2 sign(e)
-    x, y = g.edges[e]
-    rest_g, rest_signs = _drop_edge(g, signs, e)
-    return -2 * signs[e] in achievable_path_sums(rest_g, rest_signs, x, y)
-
-
-def derive_special_witness(tag: str) -> SignedWitness:
-    """Re-run the search that produced a fixture: lexicographically
-    least qualifying signing, and for the seed graphs the least edge
-    satisfying the subdivision hypothesis."""
-    g, claim = _special_base(tag)
-    k = claim.k if claim.kind == "k-canceling" else 1
-    res = find_k_canceling_signing(g, k, use_filter=False)
-    if not res.found:
-        raise RuntimeError(f"no qualifying signing exists for {tag}")
-    designated = None
-    if tag in ("g_small_even", "g_small_odd"):
-        designated = next(e for e in range(g.m)
-                          if _edge_qualifies(g, res.witness.signs, e))
-    return SignedWitness(f"special-{tag}", g, claim, signing=res.witness,
-                         designated_edge=designated)
+# frozen fixtures
 
 
 def special_witness(tag: str) -> SignedWitness:
@@ -291,6 +245,20 @@ def special_witness(tag: str) -> SignedWitness:
 
 # ---------------------------------------------------------------------------
 # composition: subdivision and one-point union
+
+
+def _drop_edge(g: Graph, signs: tuple[int, ...], e: int):
+    edges = [ed for i, ed in enumerate(g.edges) if i != e]
+    rest = tuple(s for i, s in enumerate(signs) if i != e)
+    return Graph(g.n, edges), rest
+
+
+def _edge_qualifies(g: Graph, signs: tuple[int, ...], e: int) -> bool:
+    # a cycle through e summing to -sign(e) is an e-avoiding endpoint
+    # path summing to -2 sign(e)
+    x, y = g.edges[e]
+    rest_g, rest_signs = _drop_edge(g, signs, e)
+    return -2 * signs[e] in achievable_path_sums(rest_g, rest_signs, x, y)
 
 
 def _require_zero_index(w: SignedWitness, what: str) -> None:
@@ -409,15 +377,9 @@ def blowup_cycle_signing(t: int, sizes, k: int) -> SignedWitness:
         if size < 2 * k:
             raise ValueError(f"part {i} has size {size}, needs >= {2 * k}")
     g = blowup_cycle_graph(sizes)
-    offsets = []
-    acc = 0
-    for size in sizes:
-        offsets.append(acc)
-        acc += size
-    def half(v: int) -> int:
-        part = max(i for i, off in enumerate(offsets) if off <= v)
-        return 0 if v - offsets[part] < (sizes[part] + 1) // 2 else 1
-    sigma = Signing(tuple(1 if half(u) == half(v) else -1
+    upper = {v: i < (len(part) + 1) // 2
+             for part in blowup_parts(sizes) for i, v in enumerate(part)}
+    sigma = Signing(tuple(1 if upper[u] == upper[v] else -1
                           for u, v in g.edges))
     return SignedWitness(f"blowup-c{2 * t + 1}-{'x'.join(map(str, sizes))}-k{k}",
                          g, Claim("k-canceling", k=k), signing=sigma)

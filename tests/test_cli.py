@@ -26,6 +26,16 @@ def k5_witness(tmp_path, capsys):
     return str(path)
 
 
+@pytest.fixture
+def k6_rk_witness(tmp_path, capsys):
+    path = tmp_path / "k6_rk.txt"
+    code = main(["construct", "complete-rk", "6", "3", "2",
+                 "--emit-witness", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    return str(path)
+
+
 class TestExitCodes:
     def test_check_holds(self, capsys, k5_witness):
         code, out, _ = run_cli(capsys, "check", "--k", "2", k5_witness)
@@ -40,6 +50,21 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "check", "--k", "2", str(path))
         assert code == 1
         assert "certificate: delete" in out
+
+    def test_check_colored_holds(self, capsys, k6_rk_witness):
+        code, out, _ = run_cli(capsys, "check-colored", k6_rk_witness,
+                               "--r", "3", "--k", "2")
+        assert code == 0
+        assert "(3,2)-canceling: yes" in out
+
+    def test_check_colored_fails_with_certificate(self, capsys, tmp_path):
+        path = tmp_path / "k4_mono.txt"
+        path.write_text("4 6\n" + "".join(
+            f"{u} {v} 1\n" for u in range(4) for v in range(u + 1, 4)))
+        code, out, _ = run_cli(capsys, "check-colored", str(path),
+                               "--r", "3", "--k", "1")
+        assert code == 1
+        assert "certificate: delete [], pair (0,1)" in out
 
     def test_filter_failure_names_condition(self, capsys):
         code, out, _ = run_cli(capsys, "filter", "--k", "1",
@@ -265,6 +290,12 @@ class TestStructuredOutput:
         _, tree = self.round_trip(capsys, "check", "--k", "2", str(path))
         deleted, u, v = tree["certificate"]
         assert isinstance(deleted, list) and isinstance(u, int)
+
+    def test_check_colored(self, capsys, k6_rk_witness):
+        code, tree = self.round_trip(capsys, "check-colored", k6_rk_witness,
+                                     "--r", "3", "--k", "2")
+        assert code == 0
+        assert tree["r"] == 3 and tree["k"] == 2 and tree["holds"] is True
 
     def test_filter(self, capsys):
         code, tree = self.round_trip(capsys, "filter", "--k", "1",

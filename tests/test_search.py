@@ -43,6 +43,10 @@ from signedwiener.search import (
     verify_double_star,
     verify_tree_sandwich,
 )
+from signedwiener.witnesses import (
+    complete_cyclic_signing,
+    complete_rk_coloring,
+)
 
 
 class TestFindSigning:
@@ -158,6 +162,8 @@ class TestThresholdScan:
             assert row.holds
             assert is_k_canceling_signing(complete_graph(row.n),
                                           row.witness, 2).holds
+            assert row.examined == 1
+            assert row.witness == complete_cyclic_signing(row.n).signing
 
     def test_r3_small_rows(self):
         rows = threshold_scan(3, 1, range(2, 5))
@@ -171,6 +177,7 @@ class TestThresholdScan:
     def test_r3_k2_structured_hit(self):
         rows = threshold_scan(3, 2, range(6, 7))
         assert rows[0].holds and rows[0].examined == 1
+        assert rows[0].witness == complete_rk_coloring(6, 3, 2).coloring
 
     def test_workers_match_serial(self):
         serial = threshold_scan(2, 1, range(2, 6))

@@ -1,8 +1,14 @@
 """Witness constructions, fixtures, and their certifications."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import naive
+import signedwiener
 from signedwiener.distances import Signing, wiener_signed
 from signedwiener.graphs import (
     Graph,
@@ -14,6 +20,7 @@ from signedwiener.graphs import (
     square,
     star_graph,
 )
+from signedwiener.reproduce import derive_special_witness
 from signedwiener.search import enumerate_trees, find_k_canceling_signing
 from signedwiener.witnesses import (
     SPECIAL_TAGS,
@@ -24,7 +31,6 @@ from signedwiener.witnesses import (
     certify,
     complete_cyclic_signing,
     complete_rk_coloring,
-    derive_special_witness,
     emit_witness,
     parse_witness,
     special_witness,
@@ -34,6 +40,19 @@ from signedwiener.witnesses import (
     subdivision_extend,
     union_signing,
 )
+
+
+def test_constructions_do_not_import_search():
+    # the searches take their probes from the constructions, so a fresh
+    # import of the constructions must not pull the searches in
+    src = Path(signedwiener.__file__).resolve().parents[1]
+    code = ("import sys, signedwiener.witnesses; "
+            "print('signedwiener.search' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestClaim:

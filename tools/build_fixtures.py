@@ -12,12 +12,8 @@ tree unchanged.
 
 from pathlib import Path
 
-from signedwiener.witnesses import (
-    SPECIAL_TAGS,
-    certify,
-    derive_special_witness,
-    emit_witness,
-)
+from signedwiener.reproduce import derive_special_witness
+from signedwiener.witnesses import SPECIAL_TAGS, certify, emit_witness
 
 
 def main() -> None:
