@@ -3,12 +3,10 @@
 Usage:
     python3 demos/colored_cliques.py
 
-Certifies the stored 3-colorings of K_6 and K_12, shows one balanced
-path witness, and probes whether the two-sign deletion shortcut (check
-only the largest deletions) survives with three colors.
+Certifies the stored 3-colorings of K_6 and K_12 and shows one balanced
+path witness.
 """
 
-from signedwiener.canceling import rk_shortcut_agreement
 from signedwiener.distances import canceling_path_witness
 from signedwiener.witnesses import certify, complete_rk_coloring
 
@@ -26,15 +24,6 @@ def main() -> None:
     path = canceling_path_witness(w.graph, w.coloring, 0, 3)
     print(f"balanced 0-3 path in {w.name}: vertices {path.vertices}")
     print(f"  per-color edge counts {path.color_counts}")
-    print()
-
-    probe = rk_shortcut_agreement(w.graph, w.coloring, 2)
-    print("does checking only the largest deletions suffice at r = 3?")
-    print(f"  full check: {probe.literal.holds}; "
-          f"largest-only: {probe.last_size_only.holds}; "
-          f"agree: {probe.agree}")
-    print("  agreement here is evidence, not a theorem; the checker")
-    print("  always sweeps every deletion size")
 
 
 if __name__ == "__main__":

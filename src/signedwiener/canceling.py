@@ -12,32 +12,25 @@ from itertools import combinations
 
 from .distances import (
     EdgeColoring,
-    PathWitness,
     Signing,
-    canceling_path_witness,
     canceling_reach_row,
     wiener_classical,
     wiener_signed,
 )
 from .graphs import Graph, delete_vertices, is_k_connected, structural_report
 
-# per-pair witness tables are an audit aid, not a scaling target
-WITNESS_TABLE_MAX_N = 14
-
 
 @dataclass(frozen=True)
 class CancelingVerdict:
     """Outcome of a canceling check.
 
-    On failure, certificate is the first failing (deleted set, u, v) in
-    size-then-lex order, in host-graph vertex ids.  On success a
-    per-pair table of canceling paths for the undeleted graph can be
-    attached (size-gated).
+    On failure, certificate is the lex-first failing (deleted set, u, v)
+    among the deletion sets of the one size checked, in host-graph
+    vertex ids.
     """
 
     holds: bool
     certificate: tuple[tuple[int, ...], int, int] | None = None
-    witness_table: dict[tuple[int, int], PathWitness] | None = None
 
 
 def _as_signing(signing) -> Signing:
@@ -52,100 +45,56 @@ def _as_coloring(coloring) -> EdgeColoring:
     raise TypeError("expected an EdgeColoring or Signing")
 
 
-def _build_witness_table(g: Graph, coloring: EdgeColoring, max_n):
-    if g.n > WITNESS_TABLE_MAX_N:
-        return None
-    table = {}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            w = canceling_path_witness(g, coloring, u, v, max_n=max_n)
-            if w is None:
-                return None
-            table[(u, v)] = w
-    return table
-
-
-def _deletion_verdict(g: Graph, coloring: EdgeColoring, sizes, *, max_n,
-                      with_witnesses: bool = False) -> CancelingVerdict:
+def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
+                      max_n) -> CancelingVerdict:
     """Whether every pair has a canceling path after deleting any set
-    whose size runs over `sizes`.  Deletion sets enumerate in
-    size-then-lex order, so a failure certifies the first pair found;
-    a success carries the witness table when asked for."""
-    for size in sizes:
-        if size >= g.n:
-            continue
-        for dead in combinations(range(g.n), size):
-            sub = delete_vertices(g, dead)
-            restricted = EdgeColoring(
-                coloring.r,
-                tuple(coloring.colors[j] for j in sub.edge_refs))
-            back = {new: old for old, new in sub.vertex_map.items()}
-            for u in range(sub.graph.n):
-                row = canceling_reach_row(sub.graph, restricted, u,
-                                          max_n=max_n)
-                for v in range(u + 1, sub.graph.n):
-                    if not row[v]:
-                        return CancelingVerdict(
-                            False, (dead, back[u], back[v]))
-    table = _build_witness_table(g, coloring, max_n) if with_witnesses \
-        else None
-    return CancelingVerdict(True, witness_table=table)
+    of exactly `size` vertices.  Deletion sets enumerate in lex order,
+    so a failure certifies the first pair found."""
+    for dead in combinations(range(g.n), size):
+        sub = delete_vertices(g, dead)
+        restricted = EdgeColoring(
+            coloring.r, tuple(coloring.colors[j] for j in sub.edge_refs))
+        back = {new: old for old, new in sub.vertex_map.items()}
+        for u in range(sub.graph.n):
+            row = canceling_reach_row(sub.graph, restricted, u, max_n=max_n)
+            for v in range(u + 1, sub.graph.n):
+                if not row[v]:
+                    return CancelingVerdict(False, (dead, back[u], back[v]))
+    return CancelingVerdict(True)
 
 
 def is_k_canceling_signing(g: Graph, signing, k: int, *,
-                           max_n: int | None = None,
-                           with_witnesses: bool = False) -> CancelingVerdict:
+                           max_n: int | None = None) -> CancelingVerdict:
     """Decide whether a signing is k-canceling.
 
-    Only deletion sets of size exactly k-1 are examined: with at least
-    k+1 vertices, zero signed Wiener after every (k-1)-set deletion is
-    equivalent to the definition's "all sets smaller than k", because
-    dropping a vertex from the deleted set leaves its canceling paths
-    intact.
+    Checks only deletion sets of size exactly k-1, which decides the
+    definition's "every set smaller than k" by the lemma stated at
+    is_rk_canceling_coloring.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n <= k:
         raise ValueError(
             f"k-canceling check needs n >= k+1 (n={g.n}, k={k})")
-    return _deletion_verdict(g, _as_signing(signing).as_coloring(), [k - 1],
-                             max_n=max_n, with_witnesses=with_witnesses)
+    return _deletion_verdict(g, _as_signing(signing).as_coloring(), k - 1,
+                             max_n=max_n)
 
 
 def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
-                             max_n: int | None = None,
-                             with_witnesses: bool = False
-                             ) -> CancelingVerdict:
-    """Decide whether a coloring is (r,k)-canceling, checking every
-    deletion set of size less than k literally.
+                             max_n: int | None = None) -> CancelingVerdict:
+    """Decide whether a coloring is (r,k)-canceling.
 
-    The size-(k-1)-only shortcut is justified for signings but is not
-    restated for r >= 3, so this checker does not assume it; see
-    rk_shortcut_agreement for the empirical probe.
+    Let s = min(k-1, n-2).  Every pair keeps a canceling path after
+    every deletion of fewer than k vertices iff it does after every
+    deletion of exactly s vertices: a smaller set D avoiding u and v
+    extends to a set D' of size s still avoiding them, and a path in
+    G-D' is a path in G-D.  No step uses r.  With n < 2 there are no
+    pairs, so the coloring holds.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _deletion_verdict(g, _as_coloring(coloring), range(k),
-                             max_n=max_n, with_witnesses=with_witnesses)
-
-
-@dataclass(frozen=True)
-class ShortcutProbe:
-    """Literal all-sizes verdict vs the size-(k-1)-only check."""
-
-    literal: CancelingVerdict
-    last_size_only: CancelingVerdict
-    agree: bool
-
-
-def rk_shortcut_agreement(g: Graph, coloring, k: int, *,
-                          max_n: int | None = None) -> ShortcutProbe:
-    """Probe whether checking only size-(k-1) deletions would have
-    given the same (r,k) verdict."""
-    chi = _as_coloring(coloring)
-    literal = is_rk_canceling_coloring(g, chi, k, max_n=max_n)
-    shortcut = _deletion_verdict(g, chi, [k - 1], max_n=max_n)
-    return ShortcutProbe(literal, shortcut, literal.holds == shortcut.holds)
+    size = max(min(k - 1, g.n - 2), 0)
+    return _deletion_verdict(g, _as_coloring(coloring), size, max_n=max_n)
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,8 @@ def _certificate_line(certificate) -> str:
     return f"certificate: delete {list(deleted)}, pair ({u},{v})"
 
 
-def _warn_guard(args) -> None:
-    if args.max_n is not None or args.max_edges is not None:
+def _warn_guard(*overrides) -> None:
+    if any(o is not None for o in overrides):
         print("guard override in effect; this may take a long time",
               file=sys.stderr)
 
@@ -179,9 +179,10 @@ def _max_bits(args):
 def _cmd_dist(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
-    if not 0 <= args.v < inp.graph.n:
-        raise ValueError(f"vertex {args.v} out of range 0..{inp.graph.n - 1}")
-    _warn_guard(args)
+    for w in (args.u, args.v):
+        if not 0 <= w < inp.graph.n:
+            raise ValueError(f"vertex {w} out of range 0..{inp.graph.n - 1}")
+    _warn_guard(args.max_n)
     d = signed_distance_row(inp.graph, signs, args.u,
                             max_n=args.max_n)[args.v]
     _emit(args, {"u": args.u, "v": args.v, "distance": d},
@@ -191,7 +192,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_wiener(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args)
+    _warn_guard(args.max_n)
     if inp.signs is not None and not args.classical:
         value = wiener_signed(inp.graph, inp.signs, max_n=args.max_n)
         kind = "signed"
@@ -206,7 +207,7 @@ def _cmd_wiener(args) -> int:
 def _cmd_check(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
-    _warn_guard(args)
+    _warn_guard(args.max_n)
     verdict = is_k_canceling_signing(inp.graph, signs, args.k,
                                      max_n=args.max_n)
     tree = {"k": args.k} | as_tree(verdict)
@@ -220,7 +221,7 @@ def _cmd_check(args) -> int:
 def _cmd_check_colored(args) -> int:
     inp = load_input(args.input)
     colors = _need_colors(inp)
-    _warn_guard(args)
+    _warn_guard(args.max_n)
     coloring = EdgeColoring(args.r, colors)
     verdict = is_rk_canceling_coloring(inp.graph, coloring, args.k,
                                        max_n=args.max_n)
@@ -311,7 +312,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_search(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args)
+    _warn_guard(args.max_n, args.max_edges)
     result = find_k_canceling_signing(inp.graph, args.k,
                                       use_filter=not args.no_filter,
                                       max_bits=_max_bits(args),
@@ -343,7 +344,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_min_wiener(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args)
+    _warn_guard(args.max_n, args.max_edges)
     result = min_signed_wiener(inp.graph, max_bits=_max_bits(args),
                                max_n=args.max_n)
     lines = [f"minimum signed wiener = {_fmt(result.value)} "
@@ -359,7 +360,7 @@ def _cmd_threshold(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError(f"empty range: --n-from {args.n_from} "
                          f"exceeds --n-to {args.n_to}")
-    _warn_guard(args)
+    _warn_guard(args.max_n, args.max_edges)
     rows = threshold_scan(args.r, args.k,
                           range(args.n_from, args.n_to + 1),
                           max_bits=_max_bits(args), max_n=args.max_n,
@@ -419,7 +420,7 @@ def _cmd_soltes(args) -> int:
     inp = load_input(args.input)
     if args.signed:
         signs = _need_signs(inp)
-        _warn_guard(args)
+        _warn_guard(args.max_n)
         report = soltes_check_signed(inp.graph, signs, max_n=args.max_n)
     else:
         report = soltes_check_classical(inp.graph)
@@ -452,16 +453,21 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "kv"), default="text",
-                        help="human text or line-oriented key-value output")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker process cap for scans")
-    common.add_argument("--max-n", type=int, default=None,
-                        help="override the vertex-count size guard")
-    common.add_argument("--max-edges", type=int, default=None,
-                        help="override the exhaustive-search width guard")
+    common = _flag("--format", choices=("text", "kv"), default="text",
+                   help="human text or line-oriented key-value output")
+    threads = _flag("--threads", type=int, default=1,
+                    help="worker process cap for scans")
+    max_n = _flag("--max-n", type=int, default=None,
+                  help="override the vertex-count size guard")
+    max_edges = _flag("--max-edges", type=int, default=None,
+                      help="override the exhaustive-search width guard")
 
     parser = argparse.ArgumentParser(
         prog="signedwiener",
@@ -470,27 +476,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
-    def add(name, func, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, func, help_text, *flags):
+        p = sub.add_parser(name, parents=[common, *flags], help=help_text)
         p.set_defaults(func=func)
         return p
 
-    p = add("dist", _cmd_dist, "signed distance between two vertices")
+    p = add("dist", _cmd_dist, "signed distance between two vertices",
+            max_n)
     p.add_argument("input", help="signed graph: file, '-', or fixture:TAG")
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
 
-    p = add("wiener", _cmd_wiener, "signed or classical wiener index")
+    p = add("wiener", _cmd_wiener, "signed or classical wiener index",
+            max_n)
     p.add_argument("input")
     p.add_argument("--classical", action="store_true",
                    help="ignore signs and use hop distances")
 
-    p = add("check", _cmd_check, "verify a k-canceling signing")
+    p = add("check", _cmd_check, "verify a k-canceling signing", max_n)
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
 
     p = add("check-colored", _cmd_check_colored,
-            "verify an (r,k)-canceling coloring")
+            "verify an (r,k)-canceling coloring", max_n)
     p.add_argument("input")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -507,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-witness", metavar="FILE",
                    help="also write the witness to FILE")
 
-    p = add("search", _cmd_search, "find a k-canceling signing")
+    p = add("search", _cmd_search, "find a k-canceling signing",
+            max_n, max_edges)
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--no-filter", action="store_true",
@@ -516,17 +525,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write any found witness to FILE")
 
     p = add("min-wiener", _cmd_min_wiener,
-            "minimize the signed wiener index over signings")
+            "minimize the signed wiener index over signings",
+            max_n, max_edges)
     p.add_argument("input")
 
     p = add("threshold", _cmd_threshold,
-            "per-n canceling verdicts for complete graphs")
+            "per-n canceling verdicts for complete graphs",
+            threads, max_n, max_edges)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
 
-    p = add("trees", _cmd_trees, "scan all trees of one size")
+    p = add("trees", _cmd_trees, "scan all trees of one size", threads)
     p.add_argument("--conjecture", choices=("sandwich", "double-star"),
                    required=True)
     p.add_argument("--n", type=int, required=True)
@@ -537,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semilength (path has 2n edges)")
 
     p = add("soltes", _cmd_soltes,
-            "is the wiener index invariant under every vertex deletion")
+            "is the wiener index invariant under every vertex deletion",
+            max_n)
     p.add_argument("input")
     p.add_argument("--signed", action="store_true",
                    help="use the input's signs instead of hop distances")

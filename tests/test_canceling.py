@@ -12,7 +12,6 @@ from signedwiener.canceling import (
     is_k_canceling_signing,
     is_rk_canceling_coloring,
     necessary_conditions,
-    rk_shortcut_agreement,
     soltes_check_classical,
     soltes_check_signed,
     theta_recognize,
@@ -108,16 +107,6 @@ class TestKCanceling:
             got = is_k_canceling_signing(g, signs, k).holds
             assert got == naive.is_k_canceling(n, g.edges, signs, k)
 
-    def test_witness_table(self):
-        g, signs = cyclic_signs(5)
-        verdict = is_k_canceling_signing(g, signs, 2, with_witnesses=True)
-        assert verdict.witness_table is not None
-        assert set(verdict.witness_table) == {
-            (u, v) for u in range(5) for v in range(u + 1, 5)}
-        for (u, v), w in verdict.witness_table.items():
-            assert w.vertices[0] == u and w.vertices[-1] == v
-            assert w.is_canceling()
-
 
 class TestRkCanceling:
     def test_k6_three_colors(self):
@@ -138,32 +127,35 @@ class TestRkCanceling:
             assert not is_rk_canceling_coloring(g, Signing(signs), 2).holds
 
     def test_matches_literal_oracle(self):
+        # the verdict matches every deletion size below k, and a failure
+        # certifies the lex-first (D, u, v) over sets of size min(k-1, n-2)
         rng = random.Random(67)
-        for trial in range(10):
-            n = rng.randint(3, 5)
+        for trial in range(1000):
+            n = rng.randint(1, 7)
+            r = rng.randint(1, 4)
+            k = rng.randint(1, 5)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             g = Graph(n, [e for e in pairs if rng.random() < 0.8])
-            chi = EdgeColoring(3, tuple(rng.randint(1, 3)
+            chi = EdgeColoring(r, tuple(rng.randint(1, r)
                                         for _ in range(g.m)))
-            k = rng.randint(1, 3)
-            got = is_rk_canceling_coloring(g, chi, k).holds
-            assert got == naive.is_rk_canceling(n, g.edges, chi.colors, 3, k)
-
-    def test_shortcut_probe_r2_always_agrees(self):
-        rng = random.Random(71)
-        for trial in range(10):
-            n = rng.randint(4, 6)
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            g = Graph(n, [e for e in pairs if rng.random() < 0.75])
-            signs = Signing(tuple(rng.choice((1, -1)) for _ in range(g.m)))
-            k = rng.randint(2, 3)
-            probe = rk_shortcut_agreement(g, signs, k)
-            assert probe.agree
-
-    def test_shortcut_probe_reports_both_verdicts(self):
-        g, chi = kn_cycle_coloring(6, 3, 2)
-        probe = rk_shortcut_agreement(g, chi, 2)
-        assert probe.literal.holds and probe.agree
+            verdict = is_rk_canceling_coloring(g, chi, k)
+            case = (n, g.edges, chi.colors, r, k)
+            assert verdict.holds == naive.is_rk_canceling(
+                n, g.edges, chi.colors, r, k), case
+            first = None
+            for dead in itertools.combinations(range(n),
+                                               max(min(k - 1, n - 2), 0)):
+                keep = [w for w in range(n) if w not in dead]
+                nn, ee, cc = naive.restrict(n, g.edges, chi.colors,
+                                            set(dead))
+                first = next(
+                    ((dead, keep[u], keep[v])
+                     for u in range(nn) for v in range(u + 1, nn)
+                     if not naive.canceling_path_exists(nn, ee, cc, r, u, v)),
+                    None)
+                if first is not None:
+                    break
+            assert verdict.certificate == first, case
 
 
 class TestNecessaryConditions:

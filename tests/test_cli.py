@@ -101,6 +101,28 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and "out of range" in err
 
+    def test_dist_bad_source_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "fixture:theta4", "-1", "0")
+        assert code == 2 and out == ""
+        assert err == "error: vertex -1 out of range 0..5\n"
+
+    def test_dist_bad_target_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "fixture:theta4", "0", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: vertex -1 out of range 0..5\n"
+
+    def test_flags_only_where_read(self, capsys):
+        for argv in (["wiener", "family:cycle:5", "--threads", "4"],
+                     ["dyck", "--n", "3", "--max-n", "9"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "threshold", "--k", "1",
+                               "--n-from", "3", "--n-to", "4",
+                               "--threads", "2")
+        assert code == 0 and "n=4: canceling" in out
+
     def test_threshold_empty_range_is_2(self, capsys):
         code, out, err = run_cli(capsys, "threshold", "--k", "2",
                                  "--n-from", "6", "--n-to", "5")
