@@ -388,7 +388,7 @@ def _cmd_trees(args) -> int:
             f"{report.signings_checked} signings",
         ]
     else:
-        report = verify_double_star(args.n)
+        report = verify_double_star(args.n, workers=args.threads)
         ok = report.lower_holds and report.upper_holds
         a, b = report.best_double_star
         lines = [

@@ -55,9 +55,6 @@ class Signing:
     def constant(cls, m: int, sign: int = 1) -> "Signing":
         return cls((sign,) * m)
 
-    def negated(self) -> "Signing":
-        return Signing(tuple(-s for s in self.signs))
-
     def as_coloring(self) -> "EdgeColoring":
         """The r=2 view: +1 becomes color 1, -1 becomes color 2."""
         return EdgeColoring(2, tuple(1 if s == 1 else 2 for s in self.signs))
@@ -120,10 +117,6 @@ class PathWitness:
     @property
     def length(self) -> int:
         return len(self.edge_indices)
-
-    def signed_sum(self) -> int:
-        """Sign sum under the r=2 correspondence."""
-        return self.color_counts[0] - sum(self.color_counts[1:])
 
     def is_canceling(self) -> bool:
         return len(set(self.color_counts)) <= 1

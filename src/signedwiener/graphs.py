@@ -30,7 +30,7 @@ class Graph:
     count and the ordered edge list.
     """
 
-    __slots__ = ("n", "edges", "_index", "_nbrs", "_bits")
+    __slots__ = ("n", "edges", "_index", "_nbrs")
 
     def __init__(self, n: int, edges) -> None:
         if n < 0:
@@ -38,7 +38,6 @@ class Graph:
         norm: list[tuple[int, int]] = []
         index: dict[tuple[int, int], int] = {}
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -51,13 +50,10 @@ class Graph:
             norm.append(e)
             nbrs[u].append(v)
             nbrs[v].append(u)
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
         self.n = n
         self.edges = tuple(norm)
         self._index = index
         self._nbrs = tuple(tuple(a) for a in nbrs)
-        self._bits = tuple(bits)
 
     @property
     def m(self) -> int:
@@ -72,10 +68,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
-
-    def neighbor_bits(self, v: int) -> int:
-        """Neighbors of v as a bitmask."""
-        return self._bits[v]
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])

@@ -76,6 +76,16 @@ def _half_space_signings(m: int):
         yield (1,) + rest
 
 
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """fn over jobs, results in job order; with workers > 1 and more
+    than one job the calls run in that many processes, so fn and its
+    jobs must pickle."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def _first_hit(candidates, holds):
     """The first candidate that holds (None if none does) and how many
     candidates were examined to find it."""
@@ -223,11 +233,8 @@ def threshold_scan(r: int, k: int, n_range, *,
     ns = list(n_range)
     if any(n <= max(1, k) for n in ns):
         raise ValueError(f"scan needs n >= {max(2, k + 1)}")
-    jobs = [(r, k, n, max_bits, max_n) for n in ns]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_threshold_one, jobs))
-    return [_threshold_one(job) for job in jobs]
+    return _pool_map(_threshold_one, [(r, k, n, max_bits, max_n) for n in ns],
+                     workers)
 
 
 @dataclass(frozen=True)
@@ -315,15 +322,9 @@ def tree_canonical_form(tree: Graph) -> tuple:
 
 
 def _is_double_star(tree: Graph) -> bool:
-    # some pair of vertices touches every edge
-    if tree.m <= 1:
-        return True
-    for x in range(tree.n):
-        for y in range(x + 1, tree.n):
-            if all(u == x or u == y or v == x or v == y
-                   for u, v in tree.edges):
-                return True
-    return False
+    # some edge xy touches every edge: the centers of D(a, b)
+    return any(all(x in e or y in e for e in tree.edges)
+               for x, y in tree.edges)
 
 
 @dataclass(frozen=True)
@@ -348,21 +349,26 @@ def _all_trees(n: int) -> list[Graph]:
     return list(seen.values())
 
 
-def enumerate_trees(n: int) -> list[TreeRecord]:
+def _tree_record(t: Graph) -> TreeRecord:
+    """t's record: W_sigma once per signing with the first edge +1
+    (negation never changes it), keeping the least and the greatest."""
+    values = [tree_signed_wiener(t, signs)
+              for signs in _half_space_signings(t.m)]
+    degs = tuple(sorted(map(t.degree, range(t.n)), reverse=True))
+    return TreeRecord(t, degs, _is_double_star(t), min(values), max(values))
+
+
+def enumerate_trees(n: int, *, workers: int = 1) -> list[TreeRecord]:
     """All pairwise non-isomorphic trees on n vertices, once each, with
-    their signed Wiener range over all signings."""
+    their signed Wiener range over all signings.
+
+    This is the one scan over (tree, signing) pairs: both tree
+    conjectures read its records.  The order is fixed, and with
+    workers > 1 the trees are scanned in that many processes with the
+    same records in the same order."""
     if not 1 <= n <= TREE_MAX_N:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
-    records = []
-    for t in _all_trees(n):
-        lo = hi = None
-        for signs in _half_space_signings(t.m):
-            w = tree_signed_wiener(t, signs)
-            lo = w if lo is None else min(lo, w)
-            hi = w if hi is None else max(hi, w)
-        degs = tuple(sorted((t.degree(v) for v in range(n)), reverse=True))
-        records.append(TreeRecord(t, degs, _is_double_star(t), lo, hi))
-    return records
+    return _pool_map(_tree_record, _all_trees(n), workers)
 
 
 def _alternating_signs(m: int) -> tuple[int, ...]:
@@ -387,45 +393,34 @@ class SandwichReport:
     upper_counterexample: tuple[Graph, Signing] | None
 
 
-def _sandwich_one(args):
-    edges, n, low, high = args
-    t = Graph(n, list(edges))
-    bad_low = bad_high = None
-    count = 0
-    for signs in _half_space_signings(t.m):
-        count += 1
-        w = tree_signed_wiener(t, signs)
-        if w < low and bad_low is None:
-            bad_low = signs
-        if w > high and bad_high is None:
-            bad_high = signs
-    return edges, bad_low, bad_high, count
-
-
 def verify_tree_sandwich(n: int, *, workers: int = 1) -> SandwichReport:
     """Check every signing of every n-vertex tree against the two
-    anchors; negation symmetry halves each tree's signing space."""
+    anchors; negation symmetry halves each tree's signing space.
+
+    Reads the records of enumerate_trees (scanned in `workers`
+    processes): a tree fails a bound iff its least or greatest W_sigma
+    does.  A counterexample is the first failing tree in enumeration
+    order with its first failing signing, found by re-scanning that one
+    tree."""
     if not 1 <= n <= TREE_MAX_N:
         raise ValueError(f"tree scan supports 1 <= n <= {TREE_MAX_N}")
     pn = path_graph(n)
     low = tree_signed_wiener(pn, _alternating_signs(pn.m))
     high = tree_signed_wiener(pn, (1,) * pn.m)
-    jobs = [(t.edges, n, low, high) for t in _all_trees(n)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sandwich_one, jobs))
-    else:
-        results = [_sandwich_one(job) for job in jobs]
-    lower_cx = upper_cx = None
-    signings = 0
-    for edges, bad_low, bad_high, count in results:
-        signings += count
-        if bad_low is not None and lower_cx is None:
-            lower_cx = (Graph(n, list(edges)), Signing(bad_low))
-        if bad_high is not None and upper_cx is None:
-            upper_cx = (Graph(n, list(edges)), Signing(bad_high))
+    records = enumerate_trees(n, workers=workers)
+
+    def first_failure(extreme, fails):
+        for t in (r.tree for r in records if fails(extreme(r))):
+            return next((t, Signing(signs))
+                        for signs in _half_space_signings(t.m)
+                        if fails(tree_signed_wiener(t, signs)))
+        return None
+
+    lower_cx = first_failure(lambda r: r.min_wiener, lambda w: w < low)
+    upper_cx = first_failure(lambda r: r.max_wiener, lambda w: w > high)
     return SandwichReport(n, lower_cx is None, upper_cx is None, low, high,
-                          len(results), signings, lower_cx, upper_cx)
+                          len(records), len(records) * 2 ** max(n - 2, 0),
+                          lower_cx, upper_cx)
 
 
 def double_star(a: int, b: int) -> Graph:
@@ -436,12 +431,6 @@ def double_star(a: int, b: int) -> Graph:
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
     return Graph(2 + a + b, edges)
-
-
-def min_wiener_over_signings(tree: Graph) -> int:
-    """W_* of a tree by direct scan (trees are small here)."""
-    return min(tree_signed_wiener(tree, signs)
-               for signs in _half_space_signings(tree.m))
 
 
 @dataclass(frozen=True)
@@ -463,17 +452,25 @@ class DoubleStarReport:
     star_counterexample: Graph | None
 
 
-def verify_double_star(n: int) -> DoubleStarReport:
+def verify_double_star(n: int, *, workers: int = 1) -> DoubleStarReport:
+    """Read the W_* of the path, every double star and the star from
+    the records of enumerate_trees (scanned in `workers` processes) by
+    canonical form; counterexamples are the first failing records."""
     if not 2 <= n <= TREE_MAX_N:
         raise ValueError(f"double-star scan supports 2 <= n <= {TREE_MAX_N}")
-    path_value = min_wiener_over_signings(path_graph(n))
+    records = enumerate_trees(n, workers=workers)
+    w_star = {tree_canonical_form(r.tree): r.min_wiener for r in records}
+
+    def value(tree: Graph) -> int:
+        return w_star[tree_canonical_form(tree)]
+
+    path_value = value(path_graph(n))
     best_ab, best_val = (0, n - 2), None
     for a in range((n - 2) // 2 + 1):
-        val = min_wiener_over_signings(double_star(a, n - 2 - a))
+        val = value(double_star(a, n - 2 - a))
         if best_val is None or val > best_val:
             best_ab, best_val = (a, n - 2 - a), val
-    star_value = min_wiener_over_signings(star_graph(n))
-    records = enumerate_trees(n)
+    star_value = value(star_graph(n))
     lower_cx = upper_cx = star_cx = None
     for rec in records:
         if rec.min_wiener < path_value and lower_cx is None:

@@ -325,6 +325,16 @@ class TestStructuredOutput:
         assert code == 1
         assert tree["passes"] is False and tree["edge_count"] == 11
 
+    def test_threads_keep_output(self, capsys):
+        # N processes run the same scans in the same order
+        for argv in (["threshold", "--k", "1", "--n-from", "2", "--n-to", "5"],
+                     ["trees", "--conjecture", "sandwich", "--n", "7"],
+                     ["trees", "--conjecture", "double-star", "--n", "8"]):
+            one, four = (run_cli(capsys, *argv, "--format", "kv",
+                                 "--threads", threads)[1]
+                         for threads in ("1", "4"))
+            assert one and one == four
+
     def test_threshold(self, capsys):
         _, tree = self.round_trip(capsys, "threshold", "--k", "1",
                                   "--n-from", "3", "--n-to", "4")

@@ -53,7 +53,6 @@ class TestGraphBasics:
         g = star_graph(5)
         assert g.neighbors(0) == (1, 2, 3, 4)
         assert g.degree(0) == 4 and g.degree(3) == 1
-        assert g.neighbor_bits(0) == 0b11110
 
     def test_rejects_loops_duplicates_and_range(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Every invariant here uses exact integer arithmetic and zero tolerance:
 parity, global negation, deletion monotonicity, constant-signing
 collapse, spanning-extension and exact-size-shortcut consistency, and
-engine-vs-naive oracle equivalence up to eight vertices.
+engine-vs-naive oracle equivalence up to eight vertices (with
+hypothesis installed, also the tree shortcut on random signed trees).
 """
 
 import math
@@ -234,6 +235,30 @@ class TestOracleEquivalence:
                 g = random_connected(rng, n, 0.3)
                 for signs in signings(g, rng, extra=3):
                     self.compare(g, signs)
+
+    def test_tree_shortcut_on_random_trees(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from signedwiener.search import tree_signed_wiener
+
+        @st.composite
+        def signed_trees(draw):
+            n = draw(st.integers(1, 9))
+            label = draw(st.permutations(range(n)))
+            parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+            signs = draw(st.lists(st.sampled_from((1, -1)),
+                                  min_size=n - 1, max_size=n - 1))
+            edges = [(label[p], label[v]) for v, p in enumerate(parents, 1)]
+            return Graph(n, edges), tuple(signs)
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(signed_trees())
+        def check(case):
+            tree, signs = case
+            assert tree_signed_wiener(tree, signs) == \
+                naive.wiener_signed(tree.n, tree.edges, signs)
+
+        check()
 
     @staticmethod
     def half_space(m: int):

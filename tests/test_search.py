@@ -6,6 +6,7 @@ import math
 import pytest
 
 import naive
+from signedwiener import search
 from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
     INFINITE,
@@ -35,7 +36,6 @@ from signedwiener.search import (
     enumerate_trees,
     find_k_canceling_signing,
     min_signed_wiener,
-    min_wiener_over_signings,
     n2k_bounds,
     threshold_scan,
     tree_canonical_form,
@@ -252,12 +252,13 @@ class TestTrees:
             for s in itertools.product((1, -1), repeat=3))
 
     def test_double_star_flag(self):
-        assert enumerate_trees(2)[0].double_star
-        spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-        assert not [r for r in enumerate_trees(7)
-                    if r.degree_sequence == (3, 2, 2, 2, 1, 1, 1)
-                    and tree_canonical_form(r.tree) ==
-                    tree_canonical_form(spider)][0].double_star
+        # exactly the D(a, b); P_5's two vertices covering every edge
+        # are not adjacent
+        for n in range(2, 11):
+            flagged = {tree_canonical_form(r.tree)
+                       for r in enumerate_trees(n) if r.double_star}
+            assert flagged == {tree_canonical_form(double_star(a, n - 2 - a))
+                               for a in range(n - 1)}
 
     def test_tree_shortcut_matches_engine(self):
         for rec in enumerate_trees(6):
@@ -300,6 +301,22 @@ class TestSandwich:
         b = verify_tree_sandwich(7, workers=2)
         assert a == b
 
+    def test_lower_counterexample_is_first_failure(self, monkeypatch):
+        # an all-plus "alternating" path lifts the lower anchor to the
+        # classical one, which every tree's minimum undercuts
+        monkeypatch.setattr(search, "_alternating_signs",
+                            lambda m: (1,) * m)
+        rep = verify_tree_sandwich(6)
+        anchor = rep.classical_anchor
+        assert rep.alternating_anchor == anchor
+        assert not rep.lower_holds and rep.upper_holds
+        tree = next(r.tree for r in enumerate_trees(6)
+                    if r.min_wiener < anchor)
+        signs = next((1,) + rest
+                     for rest in itertools.product((1, -1), repeat=4)
+                     if tree_signed_wiener(tree, (1,) + rest) < anchor)
+        assert rep.lower_counterexample == (tree, Signing(signs))
+
 
 class TestDoubleStar:
     def test_double_star_shape(self):
@@ -316,9 +333,10 @@ class TestDoubleStar:
         assert verify_double_star(7).star_only_upper_holds
         rep = verify_double_star(8)
         assert not rep.star_only_upper_holds
-        assert rep.star_counterexample is not None
-        assert min_wiener_over_signings(rep.star_counterexample) > \
-            rep.star_value
+        cx = rep.star_counterexample
+        assert cx is not None
+        assert min(tree_signed_wiener(cx, signs) for signs in
+                   itertools.product((1, -1), repeat=cx.m)) > rep.star_value
 
     def test_n8_values(self):
         rep = verify_double_star(8)
@@ -333,6 +351,10 @@ class TestDoubleStar:
         assert rep.best_double_star_value == 34
         assert rep.star_value == 32
         assert not rep.star_only_upper_holds
+
+    def test_workers_match_serial(self):
+        for n in (7, 8):
+            assert verify_double_star(n, workers=2) == verify_double_star(n)
 
     def test_n4_trivial(self):
         rep = verify_double_star(4)
