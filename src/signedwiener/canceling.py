@@ -154,7 +154,7 @@ def necessary_conditions(g: Graph, k: int = 1) -> NecessaryReport:
     return NecessaryReport(
         k=k,
         k_connected=is_k_connected(g, k),
-        has_odd_cycle=report.has_odd_cycle,
+        has_odd_cycle=not report.bipartite,
         min_degree=report.min_degree,
         required_min_degree=k + 1,
         edge_count=g.m,

@@ -12,6 +12,7 @@ headline-claim registry in `reproduce.py`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ from .canceling import (
     soltes_check_signed,
 )
 from .distances import (
+    DEFAULT_MAX_N_COLORED,
+    DEFAULT_MAX_N_SIGNED,
     INFINITE,
     EdgeColoring,
     SizeGuardError,
@@ -39,6 +42,7 @@ from .graphs import (
 from .reports import as_tree, render_kv
 from .reproduce import SUITES
 from .search import (
+    DEFAULT_MAX_SEARCH_BITS,
     dyck_distribution,
     find_k_canceling_signing,
     min_signed_wiener,
@@ -160,16 +164,37 @@ def _certificate_line(certificate) -> str:
     return f"certificate: delete {list(deleted)}, pair ({u},{v})"
 
 
-def _warn_guard(*overrides) -> None:
-    if any(o is not None for o in overrides):
+def _warn_guard(args, max_n_default: int = DEFAULT_MAX_N_SIGNED) -> None:
+    """Warn only when an override loosens a guard."""
+    bits = _max_bits(args) if hasattr(args, "max_edges") else None
+    if (args.max_n is not None and args.max_n > max_n_default
+            or bits is not None and bits > DEFAULT_MAX_SEARCH_BITS):
         print("guard override in effect; this may take a long time",
               file=sys.stderr)
 
 
 def _max_bits(args):
+    """The candidate-bit budget that --max-edges E gives the scan that
+    runs: E-1 bits for signings (the first sign is fixed) and
+    ceil(E log2 r) for the r-colorings of `threshold --r`."""
     if args.max_edges is None:
         return None
+    r = getattr(args, "r", 2)
+    if r > 2:
+        return max(math.ceil(args.max_edges * math.log2(r)), 0)
     return max(args.max_edges - 1, 0)
+
+
+# the command-line flag and argparse dest behind each guard keyword
+_GUARD_FLAGS = {"max_n": ("--max-n", "max_n"),
+                "max_bits": ("--max-edges", "max_edges")}
+
+
+def _guard_refusal(args, exc: SizeGuardError) -> str:
+    flag, dest = _GUARD_FLAGS[exc.option]
+    if hasattr(args, dest):
+        return f"{exc.reason}; pass a larger {flag} to override"
+    return f"{exc.reason}; {args.command} has no {flag} to override it"
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +207,7 @@ def _cmd_dist(args) -> int:
     for w in (args.u, args.v):
         if not 0 <= w < inp.graph.n:
             raise ValueError(f"vertex {w} out of range 0..{inp.graph.n - 1}")
-    _warn_guard(args.max_n)
+    _warn_guard(args)
     d = signed_distance_row(inp.graph, signs, args.u,
                             max_n=args.max_n)[args.v]
     _emit(args, {"u": args.u, "v": args.v, "distance": d},
@@ -192,7 +217,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_wiener(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args.max_n)
+    _warn_guard(args)
     if inp.signs is not None and not args.classical:
         value = wiener_signed(inp.graph, inp.signs, max_n=args.max_n)
         kind = "signed"
@@ -207,7 +232,7 @@ def _cmd_wiener(args) -> int:
 def _cmd_check(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
-    _warn_guard(args.max_n)
+    _warn_guard(args)
     verdict = is_k_canceling_signing(inp.graph, signs, args.k,
                                      max_n=args.max_n)
     tree = {"k": args.k} | as_tree(verdict)
@@ -221,7 +246,7 @@ def _cmd_check(args) -> int:
 def _cmd_check_colored(args) -> int:
     inp = load_input(args.input)
     colors = _need_colors(inp)
-    _warn_guard(args.max_n)
+    _warn_guard(args, DEFAULT_MAX_N_COLORED)
     coloring = EdgeColoring(args.r, colors)
     verdict = is_rk_canceling_coloring(inp.graph, coloring, args.k,
                                        max_n=args.max_n)
@@ -312,7 +337,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_search(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args.max_n, args.max_edges)
+    _warn_guard(args)
     result = find_k_canceling_signing(inp.graph, args.k,
                                       use_filter=not args.no_filter,
                                       max_bits=_max_bits(args),
@@ -344,7 +369,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_min_wiener(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args.max_n, args.max_edges)
+    _warn_guard(args)
     result = min_signed_wiener(inp.graph, max_bits=_max_bits(args),
                                max_n=args.max_n)
     lines = [f"minimum signed wiener = {_fmt(result.value)} "
@@ -360,7 +385,8 @@ def _cmd_threshold(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError(f"empty range: --n-from {args.n_from} "
                          f"exceeds --n-to {args.n_to}")
-    _warn_guard(args.max_n, args.max_edges)
+    _warn_guard(args, DEFAULT_MAX_N_SIGNED if args.r == 2
+                else DEFAULT_MAX_N_COLORED)
     rows = threshold_scan(args.r, args.k,
                           range(args.n_from, args.n_to + 1),
                           max_bits=_max_bits(args), max_n=args.max_n,
@@ -420,7 +446,7 @@ def _cmd_soltes(args) -> int:
     inp = load_input(args.input)
     if args.signed:
         signs = _need_signs(inp)
-        _warn_guard(args.max_n)
+        _warn_guard(args)
         report = soltes_check_signed(inp.graph, signs, max_n=args.max_n)
     else:
         report = soltes_check_classical(inp.graph)
@@ -453,6 +479,13 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _flag(*args, **kwargs) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(*args, **kwargs)
@@ -462,7 +495,7 @@ def _flag(*args, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     common = _flag("--format", choices=("text", "kv"), default="text",
                    help="human text or line-oriented key-value output")
-    threads = _flag("--threads", type=int, default=1,
+    threads = _flag("--threads", type=_worker_count, default=1,
                     help="worker process cap for scans")
     max_n = _flag("--max-n", type=int, default=None,
                   help="override the vertex-count size guard")
@@ -565,7 +598,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_guard_refusal(args, exc)}", file=sys.stderr)
         return 2
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,15 +30,24 @@ DEFAULT_MAX_N_COLORED = 16
 
 
 class SizeGuardError(RuntimeError):
-    """Instance exceeds the configured exhaustive-search bound."""
+    """Instance exceeds the configured exhaustive-search bound; option
+    names the keyword argument that overrides it.  Both are the
+    exception's args, so it pickles back out of a worker process."""
+
+    def __init__(self, reason: str, option: str):
+        super().__init__(reason, option)
+        self.reason = reason
+        self.option = option
+
+    def __str__(self) -> str:
+        return f"{self.reason}; pass a larger {self.option} to override"
 
 
 def _check_guard(n: int, max_n: int | None, default: int, what: str) -> None:
     cap = default if max_n is None else max_n
     if n > cap:
-        raise SizeGuardError(
-            f"{what} on n={n} exceeds the size guard {cap}; "
-            f"pass a larger max_n to override")
+        raise SizeGuardError(f"{what} on n={n} exceeds the size guard {cap}",
+                             "max_n")
 
 
 @dataclass(frozen=True)
@@ -113,13 +122,6 @@ class PathWitness:
         for i in idx:
             counts[coloring.colors[i] - 1] += 1
         return cls(vertices, tuple(idx), tuple(counts))
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_indices)
-
-    def is_canceling(self) -> bool:
-        return len(set(self.color_counts)) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +329,6 @@ def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
     return {b - offset for b in range(2 * offset + 1) if (acc >> b) & 1}
 
 
-def zero_reach_row(g: Graph, signing, source: int, *,
-                   max_n: int | None = None) -> list[bool]:
-    """For each vertex v, whether some simple path from source has sign
-    sum exactly 0 (v == source counts via the empty path)."""
-    return canceling_reach_row(g, Signing(_signs_of(signing)).as_coloring(),
-                               source, max_n=max_n)
-
-
 def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
                                  max_n: int | None = None):
     """Signed distance plus a path attaining it (None when INFINITE).
@@ -384,21 +378,6 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
         if undone == 0:
             break
     return reach
-
-
-def exists_canceling_path(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
-                          max_n: int | None = None) -> bool:
-    """True iff some simple uv-path uses every color equally often.
-
-    The empty path makes u == v always true.  For r = 2 this decides
-    signed_distance == 0.
-    """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
-    if u == v:
-        return True
-    _validate_lengths(g, coloring.colors, "coloring")
-    return canceling_reach_row(g, coloring, u, max_n=max_n)[v]
 
 
 def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,

@@ -137,14 +137,11 @@ class StructuralReport:
     connected: bool
     bipartite: bool
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-    has_odd_cycle: bool
     min_degree: int
-    edge_count: int
-    leaf_count: int
 
 
 def structural_report(g: Graph) -> StructuralReport:
-    """Connectivity, bipartiteness, degree extremes, and leaf count."""
+    """Connectivity, bipartiteness with the parts, and minimum degree."""
     color = [-1] * g.n
     bipartite = True
     components = 0
@@ -167,15 +164,11 @@ def structural_report(g: Graph) -> StructuralReport:
         side0 = tuple(v for v in range(g.n) if color[v] == 0)
         side1 = tuple(v for v in range(g.n) if color[v] == 1)
         parts = (side0, side1)
-    degrees = [g.degree(v) for v in range(g.n)]
     return StructuralReport(
         connected=components <= 1,
         bipartite=bipartite,
         parts=parts,
-        has_odd_cycle=not bipartite,
-        min_degree=min(degrees) if degrees else 0,
-        edge_count=g.m,
-        leaf_count=sum(1 for d in degrees if d == 1),
+        min_degree=min(map(g.degree, range(g.n)), default=0),
     )
 
 
@@ -470,82 +463,15 @@ def parse_any(text: str) -> ParsedGraph:
     )
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse a plain edge list; signed or colored input is an error."""
-    parsed = parse_any(text)
-    if parsed.signs is not None or parsed.colors is not None:
-        raise GraphFormatError("expected a plain edge list, got tagged edges")
-    return parsed.graph
-
-
-def parse_signed_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
-    parsed = parse_any(text)
-    if parsed.signs is None:
-        raise GraphFormatError("expected '+'/'-' tags on every edge line")
-    return parsed.graph, parsed.signs
-
-
-def parse_colored_graph(text: str) -> tuple[Graph, tuple[int, ...]]:
-    parsed = parse_any(text)
-    if parsed.colors is None:
-        raise GraphFormatError("expected integer color tags on every edge line")
-    return parsed.graph, parsed.colors
-
-
-def emit_graph(g: Graph, comments=()) -> str:
+def emit_graph(g: Graph, tags=(), comments=()) -> str:
+    """Edge-list text: the header, one line per edge (with that edge's
+    tag token, '+'/'-' or a color, when tags are given), then the
+    comments."""
+    tags = tuple(tags)
+    if tags and len(tags) != g.m:
+        raise ValueError(f"{len(tags)} edge tags for {g.m} edges")
+    tokens = [f" {t}" for t in tags] or [""] * g.m
     lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
+    lines += [f"{u} {v}{t}" for (u, v), t in zip(g.edges, tokens)]
     lines += [f"# {c}" for c in comments]
     return "\n".join(lines) + "\n"
-
-
-def emit_signed_graph(g: Graph, signs, comments=()) -> str:
-    signs = tuple(signs)
-    if len(signs) != g.m or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must map every edge index to +1 or -1")
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v} {'+' if s == 1 else '-'}"
-              for (u, v), s in zip(g.edges, signs)]
-    lines += [f"# {c}" for c in comments]
-    return "\n".join(lines) + "\n"
-
-
-def emit_colored_graph(g: Graph, colors, comments=()) -> str:
-    colors = tuple(colors)
-    if len(colors) != g.m or any(c < 1 for c in colors):
-        raise ValueError("colors must map every edge index to an int >= 1")
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v} {c}" for (u, v), c in zip(g.edges, colors)]
-    lines += [f"# {c}" for c in comments]
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line (n <= 62).  Read-only support for sweeping
-    standard small-graph corpora."""
-    s = line.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
-        raise GraphFormatError("empty graph6 line")
-    if s[0] == "~":
-        raise GraphFormatError("graph6 input limited to n <= 62")
-    data = [ord(c) - 63 for c in s]
-    if any(not 0 <= b < 64 for b in data):
-        raise GraphFormatError("graph6 characters must be in chr(63..126)")
-    n = data[0]
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - 1 != need:
-        raise GraphFormatError(
-            f"graph6 for n={n} needs {need} data characters, got {len(data) - 1}")
-    bits = []
-    for b in data[1:]:
-        bits.extend((b >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    return Graph(n, edges)

@@ -45,8 +45,8 @@ def _check_bits(bits: int, max_bits: int | None, what: str) -> None:
     limit = DEFAULT_MAX_SEARCH_BITS if max_bits is None else max_bits
     if bits > limit:
         raise SizeGuardError(
-            f"{what} needs {bits} candidate bits, guard allows {limit}; "
-            "pass a larger max_bits to override")
+            f"{what} needs {bits} candidate bits, guard allows {limit}",
+            "max_bits")
 
 
 @dataclass(frozen=True)
@@ -321,17 +321,9 @@ def tree_canonical_form(tree: Graph) -> tuple:
     return (tree.n, min(codes))
 
 
-def _is_double_star(tree: Graph) -> bool:
-    # some edge xy touches every edge: the centers of D(a, b)
-    return any(all(x in e or y in e for e in tree.edges)
-               for x, y in tree.edges)
-
-
 @dataclass(frozen=True)
 class TreeRecord:
     tree: Graph
-    degree_sequence: tuple[int, ...]
-    double_star: bool
     min_wiener: int
     max_wiener: int
 
@@ -354,8 +346,7 @@ def _tree_record(t: Graph) -> TreeRecord:
     (negation never changes it), keeping the least and the greatest."""
     values = [tree_signed_wiener(t, signs)
               for signs in _half_space_signings(t.m)]
-    degs = tuple(sorted(map(t.degree, range(t.n)), reverse=True))
-    return TreeRecord(t, degs, _is_double_star(t), min(values), max(values))
+    return TreeRecord(t, min(values), max(values))
 
 
 def enumerate_trees(n: int, *, workers: int = 1) -> list[TreeRecord]:

@@ -29,8 +29,7 @@ from .graphs import (
     blowup_parts,
     complete_graph,
     cycle_graph,
-    emit_colored_graph,
-    emit_signed_graph,
+    emit_graph,
     is_connected,
     parse_any,
     path_graph,
@@ -315,8 +314,7 @@ def union_signing(w1: SignedWitness, w2: SignedWitness,
 # dense families
 
 
-def bipartite_clique_signing(gprime: Graph, k: int,
-                             parts=None) -> SignedWitness:
+def bipartite_clique_signing(gprime: Graph, k: int) -> SignedWitness:
     """Complete both sides of a bipartite graph into cliques: cross
     edges +, intra-part edges -; claims k-canceling.
 
@@ -325,20 +323,10 @@ def bipartite_clique_signing(gprime: Graph, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    parts = structural_report(gprime).parts
     if parts is None:
-        parts = structural_report(gprime).parts
-        if parts is None:
-            raise ValueError("graph is not bipartite")
-        side_u, side_v = parts
-    else:
-        side_u, side_v = tuple(parts[0]), tuple(parts[1])
-        if sorted(side_u + side_v) != list(range(gprime.n)):
-            raise ValueError("parts must partition the vertex set")
-        lookup = {v: 0 for v in side_u} | {v: 1 for v in side_v}
-        for u, v in gprime.edges:
-            if lookup[u] == lookup[v]:
-                raise ValueError(
-                    f"edge ({u},{v}) does not cross the given parts")
+        raise ValueError("graph is not bipartite")
+    side_u, side_v = parts
     for label, side in (("U", side_u), ("V", side_v)):
         if len(side) < k + 2:
             raise ValueError(
@@ -459,9 +447,9 @@ def emit_witness(w: SignedWitness) -> str:
     comments.append(_claim_comment(w.claim))
     if w.designated_edge is not None:
         comments.append(f"designated-edge: {w.designated_edge}")
-    if w.signing is not None:
-        return emit_signed_graph(w.graph, w.signing.signs, comments)
-    return emit_colored_graph(w.graph, w.coloring.colors, comments)
+    tags = (w.coloring.colors if w.signing is None
+            else ("+" if s == 1 else "-" for s in w.signing.signs))
+    return emit_graph(w.graph, tags, comments)
 
 
 def parse_witness(text: str) -> SignedWitness:

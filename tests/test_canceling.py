@@ -8,7 +8,6 @@ import pytest
 
 import naive
 from signedwiener.canceling import (
-    CancelingVerdict,
     is_k_canceling_signing,
     is_rk_canceling_coloring,
     necessary_conditions,

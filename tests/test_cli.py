@@ -123,6 +123,18 @@ class TestExitCodes:
                                "--threads", "2")
         assert code == 0 and "n=4: canceling" in out
 
+    def test_threads_below_one_is_2(self, capsys):
+        for argv in (["threshold", "--k", "1", "--n-from", "3", "--n-to", "4"],
+                     ["trees", "--conjecture", "sandwich", "--n", "5"]):
+            for threads in ("0", "-1"):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, "--threads", threads])
+                assert exc.value.code == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.splitlines()[-1].endswith(
+                    f"error: argument --threads: must be an integer >= 1, "
+                    f"got '{threads}'")
+
     def test_threshold_empty_range_is_2(self, capsys):
         code, out, err = run_cli(capsys, "threshold", "--k", "2",
                                  "--n-from", "6", "--n-to", "5")
@@ -238,7 +250,39 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search", "family:complete:8",
                                "--k", "1", "--no-filter")
         assert code == 2
-        assert "candidate bits" in err
+        assert err.count("\n") == 1 and "candidate bits" in err
+        assert "pass a larger --max-edges to override" in err
+
+    def test_max_edges_counts_colored_edges(self, capsys):
+        # K_5 has 10 edges; its 3-colorings need ceil(10 log2 3) = 16 bits
+        row = ("threshold", "--r", "3", "--k", "2", "--n-from", "5",
+               "--n-to", "5")
+        code, out, _ = run_cli(capsys, *row, "--max-edges", "10")
+        assert code == 0 and "n=5: not canceling" in out
+        code, out, err = run_cli(capsys, *row, "--max-edges", "9")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err == (
+            "error: threshold scan at n=5 needs 16 candidate bits, guard "
+            "allows 15; pass a larger --max-edges to override\n")
+
+    def test_guard_refusal_from_workers(self, capsys):
+        # the n=5 row is refused inside a scan worker process
+        code, out, err = run_cli(capsys, "threshold", "--r", "3", "--k", "2",
+                                 "--n-from", "4", "--n-to", "5",
+                                 "--max-edges", "9", "--threads", "2")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "pass a larger --max-edges to override" in err
+
+    def test_size_guard_names_its_flag(self, capsys, tmp_path):
+        path = tmp_path / "p25.txt"
+        path.write_text("25 24\n" + "".join(f"{i} {i + 1} +\n"
+                                              for i in range(24)))
+        code, _, err = run_cli(capsys, "wiener", str(path))
+        assert code == 2 and err.count("\n") == 1
+        assert "pass a larger --max-n to override" in err
+        code, _, err = run_cli(capsys, "construct", "square-path", "25")
+        assert code == 2 and err.count("\n") == 1
+        assert "construct has no --max-n to override it" in err
 
     def test_guard_override_warns(self, capsys):
         code, _, err = run_cli(capsys, "search", "family:complete:8",

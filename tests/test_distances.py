@@ -1,6 +1,6 @@
 """Path engine: signed/colored distances, Wiener indices, bounds."""
 
-import math
+import pickle
 import random
 
 import pytest
@@ -16,14 +16,12 @@ from signedwiener.distances import (
     bipartite_lower_bound,
     canceling_path_witness,
     canceling_reach_row,
-    exists_canceling_path,
     leaf_lower_bound,
     signed_distance,
     signed_distance_row,
     signed_distance_with_witness,
     wiener_classical,
     wiener_signed,
-    zero_reach_row,
 )
 from signedwiener.graphs import (
     Graph,
@@ -165,7 +163,7 @@ class TestWitness:
     def test_empty_witness(self):
         g = path_graph(2)
         d, w = signed_distance_with_witness(g, (1,), 1, 1)
-        assert d == 0 and w.vertices == (1,) and w.length == 0
+        assert d == 0 and w.vertices == (1,) and w.edge_indices == ()
 
     def test_from_vertices_validates(self):
         g = path_graph(4)
@@ -182,14 +180,13 @@ class TestCancelingPaths:
     def test_same_vertex_always_cancels(self):
         g = complete_graph(4)
         chi = EdgeColoring(3, (1, 2, 3, 1, 2, 3))
-        assert exists_canceling_path(g, chi, 2, 2)
+        assert canceling_reach_row(g, chi, 2)[2]
 
     def test_monochromatic_never_cancels(self):
         g = complete_graph(4)
         chi = EdgeColoring(2, (1,) * 6)
         for u in range(4):
-            for v in range(u + 1, 4):
-                assert not exists_canceling_path(g, chi, u, v)
+            assert canceling_reach_row(g, chi, u) == [v == u for v in range(4)]
 
     def test_r2_matches_zero_signed_distance(self):
         rng = random.Random(17)
@@ -198,30 +195,21 @@ class TestCancelingPaths:
             signs = tuple(rng.choice((1, -1)) for _ in range(g.m))
             chi = Signing(signs).as_coloring()
             for u in range(g.n):
+                row = canceling_reach_row(g, chi, u)
                 for v in range(g.n):
-                    expect = signed_distance(g, signs, u, v) == 0
-                    assert exists_canceling_path(g, chi, u, v) == expect
+                    assert row[v] == (signed_distance(g, signs, u, v) == 0)
 
     def test_r3_matches_naive_oracle(self):
         for g, chi in colored_cases(29, 75):
             for u in range(g.n):
-                for v in range(g.n):
-                    assert exists_canceling_path(g, chi, u, v) == \
-                        naive.canceling_path_exists(g.n, g.edges, chi.colors,
-                                                    chi.r, u, v)
-
-    def test_reach_row_matches_pair_queries(self):
-        for g, chi in colored_cases(31, 50):
-            for u in range(g.n):
                 row = canceling_reach_row(g, chi, u)
                 for v in range(g.n):
-                    assert row[v] == exists_canceling_path(g, chi, u, v)
+                    assert row[v] == naive.canceling_path_exists(
+                        g.n, g.edges, chi.colors, chi.r, u, v)
 
     def test_rows_reject_out_of_range_source(self):
         g = path_graph(4)
         for source in (-1, 4):
-            with pytest.raises(ValueError, match="source out of range"):
-                zero_reach_row(g, (1, -1, 1), source)
             for r in (2, 3):
                 chi = EdgeColoring(r, (1, 2, 1))
                 with pytest.raises(ValueError, match="source out of range"):
@@ -234,22 +222,18 @@ class TestCancelingPaths:
                     canceling_path_witness(k4, chi, u, v)
 
     def test_wrong_length_messages(self):
-        # two colors are checked as a signing, except by the pair query
+        # two colors are checked as a signing
         g = path_graph(4)
-        with pytest.raises(ValueError, match="signing has 2 entries"):
-            zero_reach_row(g, (1, -1), 0)
         for r, what in ((2, "signing"), (3, "coloring")):
             chi = EdgeColoring(r, (1, 2))
             with pytest.raises(ValueError, match=f"{what} has 2 entries"):
                 canceling_reach_row(g, chi, 0)
             with pytest.raises(ValueError, match=f"{what} has 2 entries"):
                 canceling_path_witness(g, chi, 0, 3)
-            with pytest.raises(ValueError, match="coloring has 2 entries"):
-                exists_canceling_path(g, chi, 0, 3)
 
     def test_zero_reach_row(self):
         sq, signs = square_path_signs(6)
-        reach = zero_reach_row(sq, signs, 0)
+        reach = canceling_reach_row(sq, Signing(signs).as_coloring(), 0)
         assert reach == [True, True, True, True, True, False]
 
     def test_colored_witness_is_canceling(self):
@@ -267,7 +251,7 @@ class TestCancelingPaths:
                         assert not paths
                         continue
                     assert w.vertices[0] == u and w.vertices[-1] == v
-                    assert w.is_canceling()
+                    assert len(set(w.color_counts)) == 1
                     shortest = min(len(p) for p in paths)
                     assert len(w.vertices) == shortest
                     if u != v:
@@ -362,6 +346,14 @@ class TestGuards:
         with pytest.raises(SizeGuardError):
             wiener_signed(g, (1,) * g.m)
 
+    def test_guard_error_pickles(self):
+        # scan workers send refusals back to the parent by pickling
+        exc = SizeGuardError("scan needs 16 candidate bits", "max_bits")
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.reason, back.option) == (exc.reason, exc.option)
+        assert str(back) == str(exc) == (
+            "scan needs 16 candidate bits; pass a larger max_bits to override")
+
     def test_guard_override(self):
         g = path_graph(25)
         assert signed_distance(g, (1,) * g.m, 0, 24, max_n=25) == 24
@@ -370,8 +362,8 @@ class TestGuards:
         g = path_graph(17)
         chi = EdgeColoring(3, tuple(i % 3 + 1 for i in range(g.m)))
         with pytest.raises(SizeGuardError):
-            exists_canceling_path(g, chi, 0, 16)
-        assert not exists_canceling_path(g, chi, 0, 16, max_n=17)
+            canceling_reach_row(g, chi, 0)
+        assert not canceling_reach_row(g, chi, 0, max_n=17)[16]
 
     def test_parity_of_paths(self):
         # |sum| has the parity of the path length, so odd-length-only

@@ -14,17 +14,11 @@ from signedwiener.graphs import (
     complete_graph,
     cycle_graph,
     delete_vertices,
-    emit_colored_graph,
     emit_graph,
-    emit_signed_graph,
     is_connected,
     is_k_connected,
     make_family,
     parse_any,
-    parse_colored_graph,
-    parse_graph,
-    parse_graph6,
-    parse_signed_graph,
     path_graph,
     square,
     star_graph,
@@ -160,16 +154,16 @@ class TestDeletion:
 class TestStructure:
     def test_c6(self):
         r = structural_report(cycle_graph(6))
-        assert r.connected and r.bipartite and not r.has_odd_cycle
-        assert r.min_degree == 2 and r.edge_count == 6 and r.leaf_count == 0
+        assert r.connected and r.bipartite and r.min_degree == 2
 
     def test_k4(self):
         r = structural_report(complete_graph(4))
-        assert r.connected and not r.bipartite and r.has_odd_cycle
-        assert r.min_degree == 3 and r.edge_count == 6
+        assert r.connected and not r.bipartite and r.parts is None
+        assert r.min_degree == 3
 
     def test_star_leaves(self):
-        assert structural_report(star_graph(5)).leaf_count == 4
+        r = structural_report(star_graph(5))
+        assert r.min_degree == 1 and r.parts == ((0,), (1, 2, 3, 4))
 
     def test_bipartition_parts(self):
         r = structural_report(complete_bipartite_graph(2, 3))
@@ -236,18 +230,19 @@ class TestUnion:
 
 class TestParsing:
     def test_plain(self):
-        g = parse_graph("3 2\n0 1\n1 2\n")
-        assert g == path_graph(3)
+        p = parse_any("3 2\n0 1\n1 2\n")
+        assert p.graph == path_graph(3)
+        assert p.signs is None and p.colors is None
 
     def test_single_vertex(self):
-        g = parse_graph("1 0\n")
+        g = parse_any("1 0\n").graph
         assert g.n == 1 and g.m == 0
 
     def test_signed_and_colored(self):
-        g, signs = parse_signed_graph("3 3\n0 1 +\n1 2 -\n0 2 +\n")
-        assert signs == (1, -1, 1)
-        g, colors = parse_colored_graph("3 3\n0 1 1\n1 2 2\n0 2 3\n")
-        assert colors == (1, 2, 3)
+        p = parse_any("3 3\n0 1 +\n1 2 -\n0 2 +\n")
+        assert p.signs == (1, -1, 1) and p.colors is None
+        p = parse_any("3 3\n0 1 1\n1 2 2\n0 2 3\n")
+        assert p.colors == (1, 2, 3) and p.signs is None
 
     def test_comments_preserved(self):
         p = parse_any("# claim: test\n2 1\n0 1  # trailing\n# another\n")
@@ -256,24 +251,14 @@ class TestParsing:
 
     def test_duplicate_edge_reports_line(self):
         with pytest.raises(GraphFormatError) as exc:
-            parse_graph("3 2\n0 1\n0 1\n")
+            parse_any("3 2\n0 1\n0 1\n")
         assert exc.value.line == 3
 
     def test_errors(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("")
-        with pytest.raises(GraphFormatError):
-            parse_graph("2 1\n0 2\n")
-        with pytest.raises(GraphFormatError):
-            parse_graph("2 1\n0 0\n")
-        with pytest.raises(GraphFormatError):
-            parse_graph("2 2\n0 1\n")
-        with pytest.raises(GraphFormatError):
-            parse_graph("3 2\n0 1 +\n1 2\n")
-        with pytest.raises(GraphFormatError):
-            parse_colored_graph("2 1\n0 1 0\n")
-        with pytest.raises(GraphFormatError):
-            parse_graph("3 2\n0 1 +\n1 2 +\n")
+        for text in ("", "2 1\n0 2\n", "2 1\n0 0\n", "2 2\n0 1\n",
+                     "3 2\n0 1 +\n1 2\n", "2 1\n0 1 0\n"):
+            with pytest.raises(GraphFormatError):
+                parse_any(text)
 
     def test_mixed_sign_and_color_tags_report_line(self):
         for text in ("3 2\n0 1 2\n1 2 +\n", "3 2\n0 1 -\n1 2 2\n"):
@@ -286,45 +271,17 @@ class TestParsing:
 
     def test_round_trip_plain_signed_colored(self):
         g = theta_graph([1, 2, 2, 3])
-        assert parse_graph(emit_graph(g)) == g
+        p = parse_any(emit_graph(g, comments=("note",)))
+        assert p.graph == g and p.signs is None and p.comments == ("note",)
         signs = tuple(1 if i % 2 else -1 for i in range(g.m))
-        g2, s2 = parse_signed_graph(emit_signed_graph(g, signs))
-        assert g2 == g and s2 == signs
+        p = parse_any(emit_graph(g, ("+" if s == 1 else "-" for s in signs)))
+        assert p.graph == g and p.signs == signs
         colors = tuple(i % 3 + 1 for i in range(g.m))
-        g3, c3 = parse_colored_graph(emit_colored_graph(g, colors))
-        assert g3 == g and c3 == colors
+        p = parse_any(emit_graph(g, colors))
+        assert p.graph == g and p.colors == colors
 
     def test_emit_validates(self):
         g = path_graph(3)
-        with pytest.raises(ValueError):
-            emit_signed_graph(g, (1,))
-        with pytest.raises(ValueError):
-            emit_colored_graph(g, (0, 1))
-
-
-class TestGraph6:
-    def test_known_encodings(self):
-        # 'D?{' is from the format's reference examples
-        g = parse_graph6("D?{")
-        h = nx.from_graph6_bytes(b"D?{")
-        assert nx.is_isomorphic(to_nx(g), h)
-        assert g.edges == tuple(sorted(h.edges()))
-
-    def test_matches_networkx_generator(self):
-        import random
-        rng = random.Random(3)
-        for trial in range(30):
-            n = rng.randint(1, 12)
-            h = nx.gnp_random_graph(n, 0.5, seed=rng.randint(0, 10**6))
-            line = nx.to_graph6_bytes(h, header=False).decode().strip()
-            g = parse_graph6(line)
-            assert g.n == h.number_of_nodes()
-            assert set(g.edges) == {(min(u, v), max(u, v)) for u, v in h.edges()}
-
-    def test_rejects_large_and_garbage(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph6("~??")
-        with pytest.raises(GraphFormatError):
-            parse_graph6("")
-        with pytest.raises(GraphFormatError):
-            parse_graph6("C")
+        for tags in (("+",), (1, 2, 3)):
+            with pytest.raises(ValueError, match="edge tags for 2 edges"):
+                emit_graph(g, tags)

@@ -4,7 +4,8 @@ Every invariant here uses exact integer arithmetic and zero tolerance:
 parity, global negation, deletion monotonicity, constant-signing
 collapse, spanning-extension and exact-size-shortcut consistency, and
 engine-vs-naive oracle equivalence up to eight vertices (with
-hypothesis installed, also the tree shortcut on random signed trees).
+hypothesis installed, also the tree shortcut on random signed trees and
+the signed and canceling rows on random colored graphs).
 """
 
 import math
@@ -16,8 +17,9 @@ import pytest
 import naive
 from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
+    EdgeColoring,
     Signing,
-    exists_canceling_path,
+    canceling_reach_row,
     signed_distance_row,
     signed_distance_with_witness,
     wiener_classical,
@@ -260,6 +262,38 @@ class TestOracleEquivalence:
 
         check()
 
+    def test_engine_rows_on_random_colorings(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def colored_graphs(draw):
+            n = draw(st.integers(1, 8))
+            pairs = list(combinations(range(n), 2))
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                                 max_size=len(pairs)))
+            g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+            r = draw(st.integers(2, 4))
+            colors = draw(st.lists(st.integers(1, r), min_size=g.m,
+                                   max_size=g.m))
+            return g, EdgeColoring(r, tuple(colors))
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(colored_graphs())
+        def check(case):
+            g, chi = case
+            signs = tuple(1 if c == 1 else -1 for c in chi.colors)
+            for u in range(g.n):
+                assert canceling_reach_row(g, chi, u) == [
+                    naive.canceling_path_exists(g.n, g.edges, chi.colors,
+                                                chi.r, u, v)
+                    for v in range(g.n)]
+                assert signed_distance_row(g, signs, u) == [
+                    naive.signed_distance(g.n, g.edges, signs, u, v)
+                    for v in range(g.n)]
+
+        check()
+
     @staticmethod
     def half_space(m: int):
         if m == 0:
@@ -287,9 +321,8 @@ class TestZeroDistanceEquivalence:
                 coloring = Signing(signs).as_coloring()
                 rows = all_rows(g, signs)
                 for u in range(g.n):
-                    for v in range(u + 1, g.n):
-                        has = exists_canceling_path(g, coloring, u, v)
-                        assert has == (rows[u][v] == 0)
+                    reach = canceling_reach_row(g, coloring, u)
+                    assert reach == [d == 0 for d in rows[u]]
 
 
 class TestWitnessPaths:

@@ -15,7 +15,7 @@ from signedwiener.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    parse_signed_graph,
+    parse_any,
     path_graph,
     square,
     star_graph,
@@ -383,14 +383,7 @@ class TestBipartiteCliques:
         base = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
                          (2, 3)])
         with pytest.raises(ValueError, match="vertex 2"):
-            bipartite_clique_signing(base, 1,
-                                     parts=((0, 1, 2), (3, 4, 5)))
-
-    def test_explicit_parts_validated(self):
-        base = complete_bipartite_graph(3, 3)
-        with pytest.raises(ValueError, match="does not cross"):
-            bipartite_clique_signing(base, 1,
-                                     parts=((0, 1, 3), (2, 4, 5)))
+            bipartite_clique_signing(base, 1)
 
     def test_non_bipartite_rejected(self):
         with pytest.raises(ValueError, match="not bipartite"):
@@ -487,8 +480,8 @@ class TestCertify:
 class TestWitnessFormat:
     def test_emitted_file_is_parseable_signed_graph(self):
         text = emit_witness(special_witness("theta4"))
-        g, signs = parse_signed_graph(text)
-        assert g.m == 8 and len(signs) == 8
+        p = parse_any(text)
+        assert p.graph.m == 8 and len(p.signs) == 8
 
     def test_colored_round_trip(self):
         w = complete_rk_coloring(6, 3, 2)
