@@ -29,7 +29,7 @@ from .distances import (
     INFINITE,
     EdgeColoring,
     SizeGuardError,
-    signed_distance_row,
+    signed_distance,
     wiener_classical,
     wiener_signed,
 )
@@ -208,8 +208,7 @@ def _cmd_dist(args) -> int:
         if not 0 <= w < inp.graph.n:
             raise ValueError(f"vertex {w} out of range 0..{inp.graph.n - 1}")
     _warn_guard(args)
-    d = signed_distance_row(inp.graph, signs, args.u,
-                            max_n=args.max_n)[args.v]
+    d = signed_distance(inp.graph, signs, args.u, args.v, max_n=args.max_n)
     _emit(args, {"u": args.u, "v": args.v, "distance": d},
           [f"d({args.u},{args.v}) = {_fmt(d)}"])
     return 0

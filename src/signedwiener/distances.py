@@ -9,9 +9,11 @@ sums to 2p - L; signed distances and r = 2 canceling queries use it.
 In the count table, used for every other r, bit i marks the per-color
 edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
-prefixes that do are dropped.  One backward walk over the stored
-levels yields every path witness.  Exponential, but exact, and
-comfortably fast at the sizes the guards admit.
+prefixes that do are dropped.  Signed distance sweeps stop at proven
+floors, a parity floor and a sign budget (see signed_distance_row).
+One backward walk over the stored levels yields every path witness.
+Exponential, but exact, and comfortably fast at the sizes the guards
+admit.
 """
 
 from __future__ import annotations
@@ -127,20 +129,37 @@ class PathWitness:
 # ---------------------------------------------------------------------------
 # the path engine: one level DP over step tables, one back-walk
 
-def _levels(g: Graph, steps, source: int):
+def _levels(g: Graph, steps, source: int, window=None):
     """Yield, per path length L, {end: {mask: bitset}} over the simple
     paths from source with L edges, holding only ends that have states.
 
     Crossing edge e maps a bitset x to (x & keep) << shift, with
     steps[e] = (keep, shift); states whose bitset empties are dropped.
+    A caller that prunes passes window: once it is done with level L,
+    window(L) gives the bits worth extending, and each state of level L
+    is masked by it once before its edges are crossed (-1 keeps every
+    bit, 0 ends the sweep).  Only the signed row passes one, for its
+    sign budget, and it ends the sweep itself at its parity floors (see
+    signed_distance_row).  Both are exact: the budget drops only
+    prefixes that cannot end below the best of any target still open,
+    and no path beats a parity floor.
     """
     adj = [[] for _ in range(g.n)]
     for (a, w), (keep, shift) in zip(g.edges, steps):
         adj[a].append((w, 1 << w, keep, shift))
         adj[w].append((a, 1 << a, keep, shift))
     level = {source: {1 << source: 1}}
+    length = 0
     while level:
         yield level
+        bits = -1 if window is None else window(length)
+        if not bits:
+            return
+        if bits != -1:
+            level = {v: {mask: x & bits for mask, x in states.items()
+                         if x & bits}
+                     for v, states in level.items()}
+        length += 1
         nxt = {}
         for v, states in level.items():
             nbrs = adj[v]
@@ -247,54 +266,107 @@ def _min_abs_from_acc(acc: int, offset: int):
     raise AssertionError("nonzero bitset with no set bit")
 
 
+def _parity_floors(g: Graph, source: int) -> list:
+    """Per vertex, the least |sign sum| that parity allows a path from
+    source: 1 across a bipartite component (every path between its two
+    sides has odd length, hence an odd sum), 0 elsewhere in it, and
+    INFINITE outside it.  The component has an odd cycle exactly when
+    an edge joins two vertices of one BFS layer."""
+    hops = bfs_distances(g, source)
+    bipartite = all(hops[a] != hops[b] for a, b in g.edges
+                    if hops[a] != INFINITE)
+    return [h if h == INFINITE else h % 2 if bipartite else 0
+            for h in hops]
+
+
+def _signed_row(g: Graph, signs, source: int, targets) -> list:
+    """Least |sign sum| from source to each vertex of targets, indexed
+    by vertex (0 at source; INFINITE at vertices outside targets and
+    at unreachable ones), by the sweep and the two stopping rules
+    signed_distance_row states; B is the largest best over the targets
+    not yet finished.
+    """
+    n = g.n
+    offset = n - 1
+    floor = _parity_floors(g, source)
+    best = [INFINITE] * n
+    best[source] = 0
+    todo = {t for t in targets if best[t] != floor[t]}
+    plus = signs.count(1)
+    minus = len(signs) - plus
+
+    def window(length):
+        # bit 2p of a length-L state holds the sum s = 2p - L; keep the
+        # one run of bits with -B - min(R, m+) < s < B + min(R, m-)
+        bound = max(best[t] for t in todo)
+        if bound == INFINITE:
+            return -1
+        rest = offset - length
+        lo = max(length - bound - min(rest, plus) + 1, 0)
+        hi = length + bound + min(rest, minus) - 1
+        return (1 << hi + 1) - (1 << lo) if hi >= lo else 0
+
+    for length, level in enumerate(_levels(g, _signed_steps(signs), source,
+                                           window)):
+        for v in level.keys() & todo:
+            sums = 0
+            for x in level[v].values():
+                sums |= x
+            best[v] = min(best[v], _min_abs_from_acc(sums << offset - length,
+                                                     offset))
+            if best[v] == floor[v]:
+                todo.discard(v)
+        if not todo:
+            break
+    return best
+
+
 def signed_distance_row(g: Graph, signing, source: int, *,
                         max_n: int | None = None) -> list:
     """Signed distances from source to every vertex.
 
     Returns a list indexed by vertex; INFINITE marks unreachable
-    targets.  One full DP sweep serves all targets, with an early exit
-    once every reachable target attains 0.
+    targets.  One DP sweep serves all targets and stops at proven
+    floors by two exact rules:
+
+    - Parity floor.  Every path between the two sides of a bipartite
+      component has odd length, hence an odd sum, so |sum| >= 1 there;
+      elsewhere the floor is 0.  No path can beat a floor, so a target
+      whose best meets it is finished, and the row ends once every
+      target is finished (targets outside source's component are
+      finished at INFINITE).
+    - Sign budget.  Once every unfinished target has been reached, let
+      B be their largest best.  A length-L prefix with sum s has at
+      most R = n-1-L edges left, at most min(R, m+) positive and
+      min(R, m-) negative (m+ and m- count the graph's edges of each
+      sign), so every completion ends in [s - min(R, m-),
+      s + min(R, m+)].  A prefix whose whole range lies at |sum| >= B
+      can improve no unfinished target, so it is not extended.
+
+    So a bipartite row ends once each side meets its floor, and a
+    constant signing, which can never bring a sum back down, stops
+    after level ecc(source).
     """
     signs = _signs_of(signing)
     _validate_lengths(g, signs, "signing")
     if not 0 <= source < g.n:
         raise ValueError("source out of range")
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
-    offset = g.n - 1
-    zero_bit = 1 << offset
-    acc = [0] * g.n
-    acc[source] = zero_bit
-    undone = g.n - 1
-    for length, level in enumerate(_levels(g, _signed_steps(signs), source)):
-        for v, states in level.items():
-            if acc[v] & zero_bit:
-                continue
-            sums = 0
-            for x in states.values():
-                sums |= x
-            acc[v] |= sums << offset - length
-            if acc[v] & zero_bit:
-                undone -= 1
-        if undone == 0:
-            break
-    return [0 if a & zero_bit else _min_abs_from_acc(a, offset)
-            for a in acc]
-
-
-def _sums_to(g: Graph, signs, u: int, v: int):
-    """Yield, after each path length, the sign sums of the simple
-    uv-paths seen so far as an offset bitset: bit n-1+s marks sum s."""
-    acc = 0
-    for length, level in enumerate(_levels(g, _signed_steps(signs), u)):
-        for x in level.get(v, {}).values():
-            acc |= x << g.n - 1 - length
-        yield acc
+    return _signed_row(g, signs, source, range(g.n))
 
 
 def signed_distance(g: Graph, signing, u: int, v: int, *,
                     max_n: int | None = None):
     """Minimum |sign sum| over all simple uv-paths; 0 at u == v via the
-    empty path; INFINITE across components."""
+    empty path; INFINITE across components.
+
+    The one-target case of signed_distance_row's sweep, under the same
+    two rules: it ends once v meets its parity floor (1 when u and v lie
+    on opposite sides of a bipartite component, else 0), and it drops
+    the prefixes whose sign budget cannot end below v's best, so it may
+    stop long before the row would.  Neither rule discards a path that
+    could lower v's distance, so the value is exact.
+    """
     signs = _signs_of(signing)
     _validate_lengths(g, signs, "signing")
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -302,11 +374,7 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
     if u == v:
         return 0
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
-    offset = g.n - 1
-    for acc in _sums_to(g, signs, u, v):
-        if acc >> offset & 1:
-            return 0
-    return _min_abs_from_acc(acc, offset)
+    return _signed_row(g, signs, u, (v,))[v]
 
 
 def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
@@ -325,7 +393,10 @@ def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
         return {0}
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "path-sum sweep")
     offset = g.n - 1
-    *_, acc = _sums_to(g, signs, u, v)
+    acc = 0
+    for length, level in enumerate(_levels(g, _signed_steps(signs), u)):
+        for x in level.get(v, {}).values():
+            acc |= x << offset - length
     return {b - offset for b in range(2 * offset + 1) if (acc >> b) & 1}
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canceling import (
@@ -79,8 +78,10 @@ def _half_space_signings(m: int):
 def _pool_map(fn, jobs: list, workers: int) -> list:
     """fn over jobs, results in job order; with workers > 1 and more
     than one job the calls run in that many processes, so fn and its
-    jobs must pickle."""
+    jobs must pickle.  The pool is imported only here, so a serial run
+    never loads multiprocessing."""
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

@@ -6,6 +6,12 @@ import io
 import pytest
 
 from signedwiener.cli import load_input, load_witness, main
+from signedwiener.distances import signed_distance_row
+from signedwiener.graphs import (
+    complete_bipartite_graph,
+    complete_graph,
+    emit_graph,
+)
 from signedwiener.reports import parse_kv, render_kv
 from signedwiener.witnesses import certify, parse_witness
 
@@ -187,6 +193,25 @@ class TestCompute:
         path.write_text("3 1\n0 1 +\n")
         code, out, _ = run_cli(capsys, "dist", str(path), "0", "2")
         assert code == 0 and "d(0,2) = inf" in out
+
+    @pytest.mark.parametrize("g, signs", [
+        (complete_bipartite_graph(3, 3), (1, -1, -1, 1, 1, -1, -1, 1, 1)),
+        (complete_graph(5), (-1,) * 10),
+    ])
+    def test_dist_equals_row_value(self, capsys, tmp_path, g, signs):
+        # dist asks the one-pair question, which stops at v's floor;
+        # both formats must print the full row's value
+        path = tmp_path / "g.txt"
+        path.write_text(emit_graph(g, ("+" if s == 1 else "-"
+                                       for s in signs)))
+        for u in range(g.n):
+            row = signed_distance_row(g, signs, u)
+            for v in range(g.n):
+                _, text, _ = run_cli(capsys, "dist", str(path), str(u), str(v))
+                assert text == f"d({u},{v}) = {row[v]}\n"
+                _, kv, _ = run_cli(capsys, "dist", str(path), str(u), str(v),
+                                   "--format", "kv")
+                assert parse_kv(kv)["distance"] == row[v]
 
     def test_wiener_signed_vs_classical(self, capsys):
         _, signed, _ = run_cli(capsys, "wiener", "fixture:theta4")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import naive
+from signedwiener import distances
 from signedwiener.distances import (
     INFINITE,
     EdgeColoring,
@@ -376,6 +377,49 @@ class TestGuards:
                 for v in range(3, 6):
                     d = signed_distance(g, signs, u, v)
                     assert d % 2 == 1
+
+
+class TestEarlyStop:
+    """Work, not time: how many levels a row's DP sweep yields."""
+
+    @staticmethod
+    def levels_per_row(monkeypatch, g, signs):
+        counts = []
+        sweep = distances._levels
+
+        def counted(*args, **kwargs):
+            counts.append(0)
+            for level in sweep(*args, **kwargs):
+                counts[-1] += 1
+                yield level
+
+        monkeypatch.setattr(distances, "_levels", counted)
+        for s in range(g.n):
+            signed_distance_row(g, signs, s)
+        return counts
+
+    @pytest.mark.parametrize("g, ecc", [(complete_graph(12), 1),
+                                        (cycle_graph(9), 4)])
+    def test_constant_rows_stop_after_eccentricity(self, monkeypatch, g,
+                                                   ecc):
+        # a constant signing cannot bring a sum back down, so the sign
+        # budget ends each row after level ecc(s); a full sweep yields
+        # one level per vertex on both graphs
+        for sign in (1, -1):
+            counts = self.levels_per_row(monkeypatch, g, (sign,) * g.m)
+            assert counts == [ecc + 1] * g.n
+
+    def test_bipartite_rows_stop_at_parity_floors(self, monkeypatch):
+        # on this K_{3,3} signing every target meets its parity floor
+        # (0 on its own side, 1 across) by length 2, so each row ends
+        # after level 2; with a floor of 0 everywhere it yields 6
+        g = complete_bipartite_graph(3, 3)
+        signs = (1, -1, -1, 1, 1, -1, -1, 1, 1)
+        assert self.levels_per_row(monkeypatch, g, signs) == [3] * g.n
+        for s in range(g.n):
+            assert signed_distance_row(g, signs, s) == [
+                naive.signed_distance(g.n, g.edges, signs, s, v)
+                for v in range(g.n)]
 
 
 class TestAchievableSums:

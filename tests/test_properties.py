@@ -4,8 +4,10 @@ Every invariant here uses exact integer arithmetic and zero tolerance:
 parity, global negation, deletion monotonicity, constant-signing
 collapse, spanning-extension and exact-size-shortcut consistency, and
 engine-vs-naive oracle equivalence up to eight vertices (with
-hypothesis installed, also the tree shortcut on random signed trees and
-the signed and canceling rows on random colored graphs).
+hypothesis installed, also the tree shortcut on random signed trees,
+the signed and canceling rows on random colored graphs, and the signed
+engine's early stops on constant, nearly constant, bipartite and
+disconnected inputs).
 """
 
 import math
@@ -19,7 +21,9 @@ from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
     EdgeColoring,
     Signing,
+    bipartite_lower_bound,
     canceling_reach_row,
+    signed_distance,
     signed_distance_row,
     signed_distance_with_witness,
     wiener_classical,
@@ -35,6 +39,7 @@ from signedwiener.graphs import (
     path_graph,
     square,
     star_graph,
+    structural_report,
     theta_graph,
 )
 from signedwiener.witnesses import complete_cyclic_signing, special_witness
@@ -291,6 +296,65 @@ class TestOracleEquivalence:
                 assert signed_distance_row(g, signs, u) == [
                     naive.signed_distance(g.n, g.edges, signs, u, v)
                     for v in range(g.n)]
+
+        check()
+
+    def test_stopping_rules_on_shaped_signings(self):
+        # the parity floor acts on bipartite and disconnected graphs, the
+        # sign budget on constant and nearly constant signings: on those
+        # shapes the row, the pair query, the witness's distance and W
+        # must still equal the oracle's, and the paper's identities hold
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def shaped(draw):
+            n = draw(st.integers(1, 8))
+            pairs = list(combinations(range(n), 2))
+            shape = draw(st.sampled_from(("any", "bipartite",
+                                          "disconnected")))
+            if shape == "bipartite":
+                side = draw(st.lists(st.booleans(), min_size=n,
+                                     max_size=n))
+                pairs = [(a, b) for a, b in pairs if side[a] != side[b]]
+            elif shape == "disconnected":
+                cut = draw(st.integers(1, max(1, n - 1)))
+                pairs = [(a, b) for a, b in pairs if (a < cut) == (b < cut)]
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                                 max_size=len(pairs)))
+            g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+            sign = draw(st.sampled_from((1, -1)))
+            signs = [sign] * g.m
+            kind = draw(st.sampled_from(("constant", "flipped", "random")))
+            if kind == "flipped" and g.m:
+                for i in draw(st.lists(st.integers(0, g.m - 1), min_size=1,
+                                       max_size=2)):
+                    signs[i] = -sign
+            elif kind == "random":
+                signs = draw(st.lists(st.sampled_from((1, -1)),
+                                      min_size=g.m, max_size=g.m))
+            return g, tuple(signs)
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(shaped())
+        def check(case):
+            g, signs = case
+            oracle = [[naive.signed_distance(g.n, g.edges, signs, u, v)
+                       for v in range(g.n)] for u in range(g.n)]
+            for u in range(g.n):
+                assert signed_distance_row(g, signs, u) == oracle[u]
+                for v in range(g.n):
+                    assert signed_distance(g, signs, u, v) == oracle[u][v]
+                    d, _ = signed_distance_with_witness(g, signs, u, v)
+                    assert d == oracle[u][v]
+            w = wiener_signed(g, signs)
+            assert w == naive.wiener_signed(g.n, g.edges, signs)
+            if w == math.inf:
+                return
+            if len(set(signs)) < 2:
+                assert w == wiener_classical(g)
+            if structural_report(g).bipartite:
+                assert w >= bipartite_lower_bound(g)
 
         check()
 

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import naive
+import signedwiener
 from signedwiener import search
 from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
@@ -190,6 +195,20 @@ class TestThresholdScan:
             threshold_scan(2, 0, range(3, 5))
         with pytest.raises(ValueError):
             threshold_scan(2, 3, range(3, 5))
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported inside _pool_map, only when workers > 1, so
+    # a serial run never pays for multiprocessing
+    src = Path(signedwiener.__file__).resolve().parents[1]
+    code = ("import sys, signedwiener.cli; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBounds:
