@@ -49,15 +49,20 @@ def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
                       max_n) -> CancelingVerdict:
     """Whether every pair has a canceling path after deleting any set
     of exactly `size` vertices.  Deletion sets enumerate in lex order,
-    so a failure certifies the first pair found."""
+    so a failure certifies the first pair found.  Size 0 deletes
+    nothing, so its rows run on g and the coloring as given."""
     for dead in combinations(range(g.n), size):
-        sub = delete_vertices(g, dead)
-        restricted = EdgeColoring(
-            coloring.r, tuple(coloring.colors[j] for j in sub.edge_refs))
-        back = {new: old for old, new in sub.vertex_map.items()}
-        for u in range(sub.graph.n):
-            row = canceling_reach_row(sub.graph, restricted, u, max_n=max_n)
-            for v in range(u + 1, sub.graph.n):
+        if dead:
+            sub = delete_vertices(g, dead)
+            host = sub.graph
+            restricted = EdgeColoring(
+                coloring.r, tuple(coloring.colors[j] for j in sub.edge_refs))
+            back = {new: old for old, new in sub.vertex_map.items()}
+        else:
+            host, restricted, back = g, coloring, range(g.n)
+        for u in range(host.n):
+            row = canceling_reach_row(host, restricted, u, max_n=max_n)
+            for v in range(u + 1, host.n):
                 if not row[v]:
                     return CancelingVerdict(False, (dead, back[u], back[v]))
     return CancelingVerdict(True)

@@ -8,7 +8,7 @@ zero cutoff, so it is independent of the library's engine.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def simple_paths(n, edges, u, v):
@@ -117,3 +117,14 @@ def is_rk_canceling(n, edges, colors, r, k):
                     if not canceling_path_exists(nn, ee, cc, r, u, v):
                         return False
     return True
+
+
+def least_mask(n, mask):
+    """Least edge mask of a graph over all n! relabelings.  Bit i of a
+    mask is the i-th pair (u, v), u < v, in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+    return min(sum(1 << index[tuple(sorted((perm[a], perm[b])))]
+                   for a, b in edges)
+               for perm in permutations(range(n)))

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import naive
+from signedwiener import canceling
 from signedwiener.canceling import (
     is_k_canceling_signing,
     is_rk_canceling_coloring,
@@ -96,15 +97,44 @@ class TestKCanceling:
             is_k_canceling_signing(g, (1, 1, 1), 0)
 
     def test_matches_literal_definition(self):
+        # the verdict matches every deletion size below k, and a failure
+        # certifies the lex-first (D, u, v) over sets of size k-1; every
+        # third trial has k = 1, whose one set deletes nothing
         rng = random.Random(61)
-        for trial in range(15):
+        for trial in range(300):
             n = rng.randint(3, 6)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             g = Graph(n, [e for e in pairs if rng.random() < 0.7])
             signs = tuple(rng.choice((1, -1)) for _ in range(g.m))
-            k = rng.randint(1, n - 1)
-            got = is_k_canceling_signing(g, signs, k).holds
-            assert got == naive.is_k_canceling(n, g.edges, signs, k)
+            k = 1 if trial % 3 == 0 else rng.randint(1, n - 1)
+            verdict = is_k_canceling_signing(g, signs, k)
+            case = (n, g.edges, signs, k)
+            assert verdict.holds == naive.is_k_canceling(
+                n, g.edges, signs, k), case
+            first = None
+            for dead in itertools.combinations(range(n), k - 1):
+                keep = [w for w in range(n) if w not in dead]
+                nn, ee, ss = naive.restrict(n, g.edges, signs, set(dead))
+                first = next(
+                    ((dead, keep[u], keep[v])
+                     for u in range(nn) for v in range(u + 1, nn)
+                     if naive.signed_distance(nn, ee, ss, u, v) != 0),
+                    None)
+                if first is not None:
+                    break
+            assert verdict.certificate == first, case
+
+    def test_deletes_only_for_nonempty_sets(self, monkeypatch):
+        # k = 1 rows run on the graph itself; larger k copy per set
+        calls = []
+        real = canceling.delete_vertices
+        monkeypatch.setattr(canceling, "delete_vertices",
+                            lambda g, dead: calls.append(dead) or real(g, dead))
+        g, signs = cyclic_signs(5)
+        assert is_k_canceling_signing(g, signs, 1).holds
+        assert calls == []
+        assert is_k_canceling_signing(g, signs, 2).holds
+        assert calls == [(v,) for v in range(5)]
 
 
 class TestRkCanceling:

@@ -1,8 +1,10 @@
 """Search drivers: existence search, W_*, thresholds, trees, Dyck paths."""
 
+import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ from signedwiener.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    is_connected,
     path_graph,
     star_graph,
 )
@@ -437,3 +440,58 @@ class TestConnectedGraphs:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             connected_graphs(7)
+
+    def test_canonical_mask_matches_brute_force(self):
+        rng = random.Random(83)
+        connected = disconnected = 0
+        for trial in range(1200):
+            n = rng.randint(1, 6)
+            pairs = list(itertools.combinations(range(n), 2))
+            density = rng.choice((0.2, 0.5, 0.8))
+            mask = sum(1 << i for i in range(len(pairs))
+                       if rng.random() < density)
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if is_connected(g):
+                connected += 1
+            else:
+                disconnected += 1
+            assert search._canonical_mask(n, mask, pairs) == \
+                naive.least_mask(n, mask), (n, mask)
+        assert connected > 300 and disconnected > 300
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_output_equals_oracle_classes(self, n):
+        # the classes of every connected mask on n vertices, in the order
+        # of the generator's rule with the brute-force canonical form
+        def edges(n, mask):
+            return tuple(p for i, p in
+                         enumerate(itertools.combinations(range(n), 2))
+                         if mask >> i & 1)
+
+        def generate(n):
+            if n == 1:
+                return [0]
+            pairs = list(itertools.combinations(range(n), 2))
+            keys = {}
+            for parent in generate(n - 1):
+                base = sum(1 << pairs.index(e) for e in edges(n - 1, parent))
+                for subset in range(1, 1 << (n - 1)):
+                    mask = base | sum(1 << pairs.index((w, n - 1))
+                                      for w in range(n - 1)
+                                      if subset >> w & 1)
+                    keys.setdefault(naive.least_mask(n, mask))
+            return list(keys)
+
+        want = generate(n)
+        classes = {naive.least_mask(n, mask)
+                   for mask in range(1 << n * (n - 1) // 2)
+                   if is_connected(Graph(n, edges(n, mask)))}
+        assert set(want) == classes
+        assert [(g.n, g.edges) for g in connected_graphs(n)] == \
+            [(n, edges(n, key)) for key in want]
+
+    def test_n6_output_is_pinned(self):
+        out = [(g.n, g.edges) for g in connected_graphs(6)]
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "e7ff0483fafcbade9d534c6ae417ddd4"
+            "b29d95ec6eff77fdcc86a7ae407913e3")
