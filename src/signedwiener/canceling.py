@@ -13,7 +13,9 @@ from itertools import combinations
 from .distances import (
     EdgeColoring,
     Signing,
+    as_signing,
     canceling_reach_row,
+    check_fit,
     wiener_classical,
     wiener_signed,
 )
@@ -33,24 +35,13 @@ class CancelingVerdict:
     certificate: tuple[tuple[int, ...], int, int] | None = None
 
 
-def _as_signing(signing) -> Signing:
-    return signing if isinstance(signing, Signing) else Signing(tuple(signing))
-
-
-def _as_coloring(coloring) -> EdgeColoring:
-    if isinstance(coloring, EdgeColoring):
-        return coloring
-    if isinstance(coloring, Signing):
-        return coloring.as_coloring()
-    raise TypeError("expected an EdgeColoring or Signing")
-
-
 def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
                       max_n) -> CancelingVerdict:
     """Whether every pair has a canceling path after deleting any set
     of exactly `size` vertices.  Deletion sets enumerate in lex order,
     so a failure certifies the first pair found.  Size 0 deletes
     nothing, so its rows run on g and the coloring as given."""
+    check_fit(g, coloring)
     for dead in combinations(range(g.n), size):
         if dead:
             sub = delete_vertices(g, dead)
@@ -81,7 +72,7 @@ def is_k_canceling_signing(g: Graph, signing, k: int, *,
     if g.n <= k:
         raise ValueError(
             f"k-canceling check needs n >= k+1 (n={g.n}, k={k})")
-    return _deletion_verdict(g, _as_signing(signing).as_coloring(), k - 1,
+    return _deletion_verdict(g, as_signing(signing).as_coloring(), k - 1,
                              max_n=max_n)
 
 
@@ -98,8 +89,12 @@ def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if isinstance(coloring, Signing):
+        coloring = coloring.as_coloring()
+    elif not isinstance(coloring, EdgeColoring):
+        raise TypeError("expected an EdgeColoring or Signing")
     size = max(min(k - 1, g.n - 2), 0)
-    return _deletion_verdict(g, _as_coloring(coloring), size, max_n=max_n)
+    return _deletion_verdict(g, coloring, size, max_n=max_n)
 
 
 @dataclass(frozen=True)
@@ -286,14 +281,12 @@ def soltes_check_signed(g: Graph, signing, *,
     the signing restricted to each surviving edge set."""
     if g.n < 2:
         raise ValueError("deletion check needs n >= 2")
-    signs = _as_signing(signing).signs
-    if len(signs) != g.m:
-        raise ValueError("signing does not fit graph")
-    base = wiener_signed(g, signs, max_n=max_n)
+    sigma = as_signing(signing)
+    base = wiener_signed(g, sigma, max_n=max_n)
     deleted = []
     for v in range(g.n):
         sub = delete_vertices(g, {v})
-        sub_signs = tuple(signs[j] for j in sub.edge_refs)
+        sub_signs = tuple(sigma.signs[j] for j in sub.edge_refs)
         deleted.append(wiener_signed(sub.graph, sub_signs, max_n=max_n))
     deleted = tuple(deleted)
     return SoltesReport(all(d == base for d in deleted), base, deleted)

@@ -87,7 +87,6 @@ class LoadedInput:
     graph: Graph
     signs: tuple[int, ...] | None
     colors: tuple[int, ...] | None
-    claim: Claim | None
 
 
 def _read_source(source: str) -> str:
@@ -105,20 +104,13 @@ def load_input(source: str) -> LoadedInput:
         if len(parts) != 3 or not parts[2]:
             raise ValueError("family inputs look like family:cycle:11")
         g = make_family(parts[1], parts[2].split(","))
-        return LoadedInput(f"{parts[1]}({parts[2]})", g, None, None, None)
+        return LoadedInput(f"{parts[1]}({parts[2]})", g, None, None)
     if source.startswith("fixture:"):
         w = special_witness(source[len("fixture:"):])
-        return LoadedInput(w.name, w.graph, w.signing.signs, None, w.claim)
-    text = _read_source(source)
-    parsed = parse_any(text)
-    claim = None
-    label = "stdin" if source == "-" else source
-    if any(c.split(":", 1)[0].strip() == "claim" for c in parsed.comments):
-        w = parse_witness(text)
-        claim = w.claim
-        label = w.name
-    return LoadedInput(label, parsed.graph, parsed.signs, parsed.colors,
-                       claim)
+        return LoadedInput(w.name, w.graph, w.signing.signs, None)
+    parsed = parse_any(_read_source(source))
+    return LoadedInput("stdin" if source == "-" else source, parsed.graph,
+                       parsed.signs, parsed.colors)
 
 
 def load_witness(source: str) -> SignedWitness:
@@ -204,9 +196,6 @@ def _guard_refusal(args, exc: SizeGuardError) -> str:
 def _cmd_dist(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
-    for w in (args.u, args.v):
-        if not 0 <= w < inp.graph.n:
-            raise ValueError(f"vertex {w} out of range 0..{inp.graph.n - 1}")
     _warn_guard(args)
     d = signed_distance(inp.graph, signs, args.u, args.v, max_n=args.max_n)
     _emit(args, {"u": args.u, "v": args.v, "distance": d},

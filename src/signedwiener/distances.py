@@ -85,16 +85,27 @@ class EdgeColoring:
             raise ValueError(f"colors must lie in 1..{self.r}")
 
 
-def _signs_of(signing) -> tuple[int, ...]:
-    signs = tuple(signing.signs if isinstance(signing, Signing) else signing)
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    return signs
+def as_signing(signing) -> Signing:
+    """signing itself if it is a Signing, else the Signing of the sign
+    sequence given (which checks its values)."""
+    return signing if isinstance(signing, Signing) else Signing(tuple(signing))
 
 
-def _validate_lengths(g: Graph, tags, what: str) -> None:
-    if len(tags) != g.m:
-        raise ValueError(f"{what} has {len(tags)} entries for {g.m} edges")
+def check_fit(g: Graph, tagged, *vertices: int) -> None:
+    """Refuse a Signing or EdgeColoring whose entry count is not g's
+    edge count, then any of vertices outside g.  Two colors are named
+    a signing, as the engine runs them.  Every public query on a
+    signing, a coloring or vertices calls this before its size guard."""
+    if isinstance(tagged, Signing):
+        what, count = "signing", len(tagged.signs)
+    else:
+        what = "signing" if tagged.r == 2 else "coloring"
+        count = len(tagged.colors)
+    if count != g.m:
+        raise ValueError(f"{what} has {count} entries for {g.m} edges")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
 
 
 @dataclass(frozen=True)
@@ -199,17 +210,12 @@ def _count_steps(n: int, r: int):
             sum(b ** p for p in range(r)))
 
 
-def _cancel_table(g: Graph, coloring: EdgeColoring, source: int, max_n):
-    """Check a canceling query from source (the coloring's length, then
-    the source, then the guard) and return its steps and unit: a path
-    of length j*r cancels iff bit j*unit is set.  Two colors are
-    checked as a signing and run on the narrower signed table (color 1
-    as +1) under the signed guard; every other r on the count table."""
-    two = coloring.r == 2
-    _validate_lengths(g, coloring.colors, "signing" if two else "coloring")
-    if not 0 <= source < g.n:
-        raise ValueError("source out of range")
-    if two:
+def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
+    """Guard a canceling query that fits g and return its steps and
+    unit: a path of length j*r cancels iff bit j*unit is set.  Two
+    colors run on the narrower signed table (color 1 as +1) under the
+    signed guard; every other r on the count table."""
+    if coloring.r == 2:
         _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
         return _signed_steps(1 if c == 1 else -1 for c in coloring.colors), 2
     _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
@@ -347,12 +353,10 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     constant signing, which can never bring a sum back down, stops
     after level ecc(source).
     """
-    signs = _signs_of(signing)
-    _validate_lengths(g, signs, "signing")
-    if not 0 <= source < g.n:
-        raise ValueError("source out of range")
+    sigma = as_signing(signing)
+    check_fit(g, sigma, source)
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
-    return _signed_row(g, signs, source, range(g.n))
+    return _signed_row(g, sigma.signs, source, range(g.n))
 
 
 def signed_distance(g: Graph, signing, u: int, v: int, *,
@@ -367,14 +371,12 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
     stop long before the row would.  Neither rule discards a path that
     could lower v's distance, so the value is exact.
     """
-    signs = _signs_of(signing)
-    _validate_lengths(g, signs, "signing")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
+    sigma = as_signing(signing)
+    check_fit(g, sigma, u, v)
     if u == v:
         return 0
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
-    return _signed_row(g, signs, u, (v,))[v]
+    return _signed_row(g, sigma.signs, u, (v,))[v]
 
 
 def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
@@ -385,16 +387,14 @@ def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
     subdivision construction needs an exact membership test, not a
     minimum.
     """
-    signs = _signs_of(signing)
-    _validate_lengths(g, signs, "signing")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
+    sigma = as_signing(signing)
+    check_fit(g, sigma, u, v)
     if u == v:
         return {0}
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "path-sum sweep")
     offset = g.n - 1
     acc = 0
-    for length, level in enumerate(_levels(g, _signed_steps(signs), u)):
+    for length, level in enumerate(_levels(g, _signed_steps(sigma.signs), u)):
         for x in level.get(v, {}).values():
             acc |= x << offset - length
     return {b - offset for b in range(2 * offset + 1) if (acc >> b) & 1}
@@ -409,18 +409,17 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
     memory for the backward walk, so it is costlier than
     signed_distance; intended for certificate output.
     """
-    d = signed_distance(g, signing, u, v, max_n=max_n)
+    sigma = as_signing(signing)
+    d = signed_distance(g, sigma, u, v, max_n=max_n)
     if d is INFINITE:
         return d, None
-    signs = _signs_of(signing)
     if u == v:
-        empty = PathWitness((u,), (), (0, 0))
-        return 0, empty
+        return 0, PathWitness((u,), (), (0, 0))
     # a length-L path with sum s sets bit L + s
-    path = _first_path(g, _signed_steps(signs), u, v,
+    path = _first_path(g, _signed_steps(sigma.signs), u, v,
                       lambda length: (length + d, length - d)
                       if length >= d else ())
-    return d, PathWitness.from_vertices(g, path, Signing(signs).as_coloring())
+    return d, PathWitness.from_vertices(g, path, sigma.as_coloring())
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +429,8 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         max_n: int | None = None) -> list[bool]:
     """For each vertex v, whether some simple path from source uses all
     r colors equally often (source itself: yes, empty path)."""
-    steps, unit = _cancel_table(g, coloring, source, max_n)
+    check_fit(g, coloring, source)
+    steps, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
@@ -456,11 +456,10 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
     """A shortest canceling uv-path, or None if there is none: the one
     on the numerically least vertex-set bitmask, lexicographically
     least when read backward from v."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
+    check_fit(g, coloring, u, v)
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
-    steps, unit = _cancel_table(g, coloring, u, max_n)
+    steps, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
     path = _first_path(g, steps, u, v, lambda length: () if length % r
                       else (length // r * unit,))
@@ -486,12 +485,12 @@ def wiener_classical(g: Graph):
 
 def wiener_signed(g: Graph, signing, *, max_n: int | None = None):
     """Half the sum of all ordered-pair signed distances."""
-    signs = _signs_of(signing)
-    _validate_lengths(g, signs, "signing")
+    sigma = as_signing(signing)
+    check_fit(g, sigma)
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed Wiener")
     total = 0
     for u in range(g.n - 1):
-        row = signed_distance_row(g, signs, u, max_n=max_n)
+        row = signed_distance_row(g, sigma, u, max_n=max_n)
         for v in range(u + 1, g.n):
             if row[v] is INFINITE:
                 return INFINITE

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .distances import EdgeColoring, PathWitness, Signing
 from .graphs import Graph
 
 
@@ -66,14 +65,6 @@ def as_tree(obj):
     """Nested dicts/lists of leaf scalars from a report object."""
     if isinstance(obj, Graph):
         return {"n": obj.n, "edges": [list(e) for e in obj.edges]}
-    if isinstance(obj, Signing):
-        return {"signs": list(obj.signs)}
-    if isinstance(obj, EdgeColoring):
-        return {"r": obj.r, "colors": list(obj.colors)}
-    if isinstance(obj, PathWitness):
-        return {"vertices": list(obj.vertices),
-                "edge_indices": list(obj.edge_indices),
-                "color_counts": list(obj.color_counts)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: as_tree(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

@@ -25,7 +25,9 @@ from .distances import (
     EdgeColoring,
     Signing,
     SizeGuardError,
+    as_signing,
     bipartite_lower_bound,
+    check_fit,
     leaf_lower_bound,
     wiener_signed,
 )
@@ -146,16 +148,16 @@ def min_signed_wiener(g: Graph, *,
     _check_bits(max(g.m - 1, 0), max_bits, "signing scan")
     floor = max(bipartite_lower_bound(g), leaf_lower_bound(g))
     best: int | float = INFINITE
-    best_signs = None
+    argmin = None
     examined = 0
-    for signs in _half_space_signings(g.m):
+    for sigma in map(Signing, _half_space_signings(g.m)):
         examined += 1
-        w = wiener_signed(g, signs, max_n=max_n)
+        w = wiener_signed(g, sigma, max_n=max_n)
         if w < best:
-            best, best_signs = w, signs
+            best, argmin = w, sigma
             if best == floor:
                 break
-    return MinWienerResult(best, Signing(best_signs), examined)
+    return MinWienerResult(best, argmin, examined)
 
 
 def _surjective_growth_colorings(m: int, r: int):
@@ -269,11 +271,11 @@ def tree_signed_wiener(tree: Graph, signing) -> int:
     """W_sigma of a tree via the unique-path shortcut: a DFS from each
     root carries the running sign sum, and each pair contributes its
     absolute value."""
-    signs = signing.signs if isinstance(signing, Signing) else tuple(signing)
+    sigma = as_signing(signing)
     if tree.m != tree.n - 1 or not is_connected(tree):
         raise ValueError("not a tree")
-    if len(signs) != tree.m:
-        raise ValueError("signing length mismatch")
+    check_fit(tree, sigma)
+    signs = sigma.signs
     total = 0
     for root in range(tree.n):
         stack = [(root, -1, 0)]

@@ -16,11 +16,9 @@ from importlib import resources
 from .canceling import is_k_canceling_signing, is_rk_canceling_coloring
 from .distances import (
     EdgeColoring,
-    PathWitness,
     Signing,
     achievable_path_sums,
     signed_distance_row,
-    signed_distance_with_witness,
     wiener_signed,
 )
 from .graphs import (
@@ -79,7 +77,6 @@ class SignedWitness:
     signing: Signing | None = None
     coloring: EdgeColoring | None = None
     designated_edge: int | None = None
-    sample_path: PathWitness | None = None
 
     def __post_init__(self):
         if (self.signing is None) == (self.coloring is None):
@@ -105,7 +102,7 @@ class CertificationResult:
 def _nonzero_pairs(g: Graph, signing: Signing, max_n=None):
     bad = []
     for u in range(g.n - 1):
-        row = signed_distance_row(g, signing.signs, u, max_n=max_n)
+        row = signed_distance_row(g, signing, u, max_n=max_n)
         for v in range(u + 1, g.n):
             if row[v] != 0:
                 bad.append((u, v))
@@ -153,7 +150,7 @@ def square_path_signing(n: int) -> SignedWitness:
 
     Zero signed Wiener index for n >= 5 except n=6, where exactly the
     endpoint pair (0,5) fails; below 5 the squares are too small to
-    cancel.  Certified instances carry a zero-sum endpoint path.
+    cancel.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -165,11 +162,7 @@ def square_path_signing(n: int) -> SignedWitness:
         claim = Claim("w-zero", expected=False)
     else:
         claim = Claim("w-zero")
-    sample = None
-    if claim.expected:
-        _, sample = signed_distance_with_witness(g, sigma, 0, n - 1)
-    return SignedWitness(f"square-path-{n}", g, claim, signing=sigma,
-                         sample_path=sample)
+    return SignedWitness(f"square-path-{n}", g, claim, signing=sigma)
 
 
 def complete_cyclic_signing(n: int) -> SignedWitness:
@@ -263,7 +256,7 @@ def _edge_qualifies(g: Graph, signs: tuple[int, ...], e: int) -> bool:
 def _require_zero_index(w: SignedWitness, what: str) -> None:
     if w.signing is None:
         raise ValueError(f"{what} needs a signed witness")
-    if wiener_signed(w.graph, w.signing.signs) != 0:
+    if wiener_signed(w.graph, w.signing) != 0:
         raise ValueError(f"{what} needs a certified zero-index witness")
 
 

@@ -179,9 +179,18 @@ class TestInputSources:
         code, _, err = run_cli(capsys, "wiener", "family:cycle")
         assert code == 2
 
-    def test_loaded_claim_travels(self, k5_witness):
-        inp = load_input(k5_witness)
-        assert inp.claim is not None and inp.claim.k == 2
+    def test_claim_comment_read_only_by_construct(self, capsys, k5_witness,
+                                                  tmp_path):
+        path = tmp_path / "bad_claim.txt"
+        with open(k5_witness) as fh:
+            text = fh.read()
+        path.write_text(text.replace("claim: ", "claim: bogus "))
+        assert load_input(str(path)).label == str(path)
+        code, out, _ = run_cli(capsys, "wiener", str(path))
+        assert code == 0 and out == "signed wiener = 0\n"
+        code, _, err = run_cli(capsys, "construct", "subdivide", str(path),
+                               "0", "1")
+        assert code == 2 and "claim" in err
 
     def test_load_witness_accepts_bare_tag(self):
         assert load_witness("theta4").name == "special-theta4"
@@ -305,7 +314,12 @@ class TestSearch:
         code, _, err = run_cli(capsys, "wiener", str(path))
         assert code == 2 and err.count("\n") == 1
         assert "pass a larger --max-n to override" in err
-        code, _, err = run_cli(capsys, "construct", "square-path", "25")
+        witness = tmp_path / "sq25.txt"
+        code, _, _ = run_cli(capsys, "construct", "square-path", "25",
+                             "--emit-witness", str(witness))
+        assert code == 0
+        code, _, err = run_cli(capsys, "construct", "subdivide",
+                               str(witness), "0", "1")
         assert code == 2 and err.count("\n") == 1
         assert "construct has no --max-n to override it" in err
 

@@ -213,13 +213,18 @@ class TestCancelingPaths:
         for source in (-1, 4):
             for r in (2, 3):
                 chi = EdgeColoring(r, (1, 2, 1))
-                with pytest.raises(ValueError, match="source out of range"):
+                with pytest.raises(
+                        ValueError,
+                        match=rf"^vertex {source} out of range 0\.\.3$"):
                     canceling_reach_row(g, chi, source)
         k4 = complete_graph(4)
         for r in (2, 3):
             chi = EdgeColoring(r, (1, 2, 1, 2, 1, 2))
-            for u, v in ((99, 99), (0, -1), (0, 9), (-1, 2)):
-                with pytest.raises(ValueError, match="vertex out of range"):
+            for u, v, bad in ((99, 99, 99), (0, -1, -1), (0, 9, 9),
+                              (-1, 2, -1)):
+                with pytest.raises(
+                        ValueError,
+                        match=rf"^vertex {bad} out of range 0\.\.3$"):
                     canceling_path_witness(k4, chi, u, v)
 
     def test_wrong_length_messages(self):

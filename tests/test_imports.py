@@ -1,8 +1,11 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no private name in the
+package goes unread.
 
 A stdlib ast pass over the package, tests, demos and tools: every name
 an import binds must be read somewhere in its module (or listed in
-__all__).  An import line carrying a `# noqa` comment is exempt."""
+__all__).  An import line carrying a `# noqa` comment is exempt.  A
+second pass over the package alone: every private name a module binds
+at top level must be read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests", "demos", "tools")
                for p in (ROOT / d).rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -50,3 +54,53 @@ def test_detector():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each _name a module binds at top level by def,
+    class or assignment; dunder names are not private."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(t.lineno, t.id) for t in targets
+                    if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in out
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_private_detector():
+    source = ("_used = 1\n_dead = 2\n__dunder__ = 3\n\n"
+              "def _helper():\n    return _used\n\n"
+              "class _Gone:\n    pass\n\nx = mod._helper\n")
+    assert private_definitions(source) == [(1, "_used"), (2, "_dead"),
+                                           (5, "_helper"), (8, "_Gone")]
+    assert {"_used", "_helper"} <= names_read(source)
+    assert not {"_dead", "_Gone"} & names_read(source)
+
+
+def test_no_unread_private_names():
+    sources = {path: path.read_text() for path in SRC}
+    read = set().union(*(names_read(text) for text in sources.values()))
+    unread = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, text in sources.items()
+              for line, name in private_definitions(text)
+              if name not in read]
+    assert unread == []

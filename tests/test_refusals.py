@@ -1,0 +1,130 @@
+"""Every public query refuses a signing or coloring that does not fit
+its graph, and a vertex outside it, with one ValueError message per
+kind, before any size guard and before the u == v shortcut."""
+
+import pytest
+
+from signedwiener.canceling import (
+    is_k_canceling_signing,
+    is_rk_canceling_coloring,
+    soltes_check_signed,
+)
+from signedwiener.cli import _cmd_dist, build_parser
+from signedwiener.distances import (
+    EdgeColoring,
+    achievable_path_sums,
+    canceling_path_witness,
+    canceling_reach_row,
+    signed_distance,
+    signed_distance_row,
+    signed_distance_with_witness,
+    wiener_signed,
+)
+from signedwiener.graphs import complete_graph, path_graph
+from signedwiener.search import tree_signed_wiener
+from signedwiener.witnesses import special_witness
+
+K4 = complete_graph(4)
+P4 = path_graph(4)
+THETA4 = special_witness("theta4").graph
+
+
+def _signs(count):
+    return (1,) * count
+
+
+def _colors(r):
+    return lambda count: EdgeColoring(r, tuple(1 + i % r
+                                               for i in range(count)))
+
+
+def _dist_command(g, tags, u, v):
+    args = build_parser().parse_args(["dist", "fixture:theta4",
+                                      str(u), str(v)])
+    return _cmd_dist(args)
+
+
+# name -> (graph, tags of a given length or None, its kind in the
+# message, the call with tags and two vertices, whether it takes one)
+ENTRIES = {
+    "signed_distance_row": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: signed_distance_row(g, t, u), True),
+    "signed_distance": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: signed_distance(g, t, u, v), True),
+    "achievable_path_sums": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: achievable_path_sums(g, t, u, v), True),
+    "signed_distance_with_witness": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: signed_distance_with_witness(g, t, u, v), True),
+    "wiener_signed": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: wiener_signed(g, t), False),
+    "canceling_reach_row-r2": (
+        K4, _colors(2), "signing",
+        lambda g, t, u, v: canceling_reach_row(g, t, u), True),
+    "canceling_reach_row-r3": (
+        K4, _colors(3), "coloring",
+        lambda g, t, u, v: canceling_reach_row(g, t, u), True),
+    "canceling_path_witness-r2": (
+        K4, _colors(2), "signing",
+        lambda g, t, u, v: canceling_path_witness(g, t, u, v), True),
+    "canceling_path_witness-r3": (
+        P4, _colors(3), "coloring",
+        lambda g, t, u, v: canceling_path_witness(g, t, u, v), True),
+    "is_k_canceling_signing-k1": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: is_k_canceling_signing(g, t, 1), False),
+    "is_k_canceling_signing-k2": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: is_k_canceling_signing(g, t, 2), False),
+    "is_rk_canceling_coloring-k1": (
+        K4, _colors(3), "coloring",
+        lambda g, t, u, v: is_rk_canceling_coloring(g, t, 1), False),
+    "is_rk_canceling_coloring-k2": (
+        K4, _colors(3), "coloring",
+        lambda g, t, u, v: is_rk_canceling_coloring(g, t, 2), False),
+    "soltes_check_signed": (
+        K4, _signs, "signing",
+        lambda g, t, u, v: soltes_check_signed(g, t), False),
+    "tree_signed_wiener": (
+        P4, _signs, "signing",
+        lambda g, t, u, v: tree_signed_wiener(g, t), False),
+    "cli-dist": (THETA4, None, None, _dist_command, True),
+}
+
+# entries deltas away from the edge count; m + 3 is the 9-entry
+# coloring of K_4's 6 edges
+CASES = [(name, delta) for name, entry in ENTRIES.items()
+         if entry[1] is not None for delta in (-1, 1, 3)]
+CASES += [(name, "vertex") for name, entry in ENTRIES.items() if entry[4]]
+
+
+@pytest.mark.parametrize("name, case", CASES,
+                         ids=[f"{name}-{case}" for name, case in CASES])
+def test_misfit_is_refused_with_one_message(name, case):
+    g, tags_of, kind, call, takes_vertices = ENTRIES[name]
+    if case == "vertex":
+        # u == v, so a shortcut answering before the check would show
+        tags = None if tags_of is None else tags_of(g.m)
+        u = v = g.n
+        message = f"vertex {g.n} out of range 0..{g.n - 1}"
+    else:
+        tags = tags_of(g.m + case)
+        u = v = 0
+        message = f"{kind} has {g.m + case} entries for {g.m} edges"
+    with pytest.raises(ValueError) as exc:
+        call(g, tags, u, v)
+    assert str(exc.value) == message
+
+
+def test_checks_run_before_the_size_guard():
+    big = complete_graph(30)
+    with pytest.raises(ValueError, match="^signing has 5 entries"):
+        wiener_signed(big, _signs(5), max_n=4)
+    with pytest.raises(ValueError, match="^vertex 30 out of range"):
+        signed_distance(big, _signs(big.m), 0, 30, max_n=4)
+    with pytest.raises(ValueError, match="^coloring has 5 entries"):
+        is_rk_canceling_coloring(big, _colors(3)(5), 2, max_n=4)

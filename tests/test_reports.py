@@ -1,15 +1,23 @@
 """Key-value rendering and its round-trip guarantee."""
 
+import hashlib
 import math
 
 import pytest
 
 from signedwiener.canceling import (
+    is_k_canceling_signing,
     necessary_conditions,
     soltes_check_classical,
+    soltes_check_signed,
 )
-from signedwiener.distances import Signing
-from signedwiener.graphs import cycle_graph, path_graph
+from signedwiener.distances import (
+    EdgeColoring,
+    Signing,
+    canceling_path_witness,
+    signed_distance_with_witness,
+)
+from signedwiener.graphs import complete_graph, cycle_graph, path_graph
 from signedwiener.reports import (
     as_tree,
     parse_kv,
@@ -17,8 +25,20 @@ from signedwiener.reports import (
     render_kv,
     scalar_token,
 )
-from signedwiener.search import min_signed_wiener, n2k_bounds
-from signedwiener.witnesses import certify, square_path_signing
+from signedwiener.search import (
+    find_k_canceling_signing,
+    min_signed_wiener,
+    n2k_bounds,
+    threshold_scan,
+    verify_double_star,
+    verify_tree_sandwich,
+)
+from signedwiener.witnesses import (
+    certify,
+    complete_cyclic_signing,
+    special_witness,
+    square_path_signing,
+)
 
 
 class TestTokens:
@@ -135,3 +155,76 @@ class TestReportTrees:
     def test_signing_round_trip_types(self):
         tree = as_tree(Signing((1, -1)))
         assert parse_kv(render_kv(tree)) == {"signs": [1, -1]}
+
+
+def _theta4():
+    return special_witness("theta4")
+
+
+# one instance of every report type the CLI (or the certify benchmark)
+# renders, and of the tag and path types inside them
+RENDERED = {
+    "canceling-verdict": lambda: is_k_canceling_signing(
+        complete_graph(4), complete_cyclic_signing(4).signing, 2),
+    "necessary-report": lambda: necessary_conditions(cycle_graph(5), 1),
+    "search-result": lambda: find_k_canceling_signing(
+        _theta4().graph, 1, use_filter=False),
+    "min-wiener-result": lambda: min_signed_wiener(cycle_graph(5)),
+    "threshold-row-signing": lambda: threshold_scan(2, 1, [5])[0],
+    "threshold-row-coloring": lambda: threshold_scan(3, 2, [7])[0],
+    "sandwich-report": lambda: verify_tree_sandwich(5),
+    "double-star-report": lambda: verify_double_star(6),
+    "soltes-report": lambda: soltes_check_signed(_theta4().graph,
+                                                 _theta4().signing),
+    "certification-result": lambda: certify(square_path_signing(6)),
+    "path-witness": lambda: signed_distance_with_witness(
+        square_path_signing(7).graph, square_path_signing(7).signing,
+        0, 6)[1],
+    "colored-path-witness": lambda: canceling_path_witness(
+        complete_graph(4), EdgeColoring(3, (1, 1, 1, 2, 2, 3)), 0, 3),
+    "edge-coloring": lambda: EdgeColoring(3, (1, 2, 3, 1)),
+    "graph": lambda: cycle_graph(4),
+}
+
+# sha256 of render_kv(as_tree(x)) for each instance above, as rendered
+# when as_tree still had its own Signing, EdgeColoring and PathWitness
+# branches: the generic dataclass branch must keep every byte
+RENDERED_SHA256 = {
+    "canceling-verdict":
+        "f45593326255ef1e8b5f0a8da9a81e1da79919652a64dcc9b9c80ebcc2e13a76",
+    "necessary-report":
+        "4f5c78b2d1fd281702060aafa5d70e8a9ca23b95f12e756f042bc183e526e8c6",
+    "search-result":
+        "742bca799a2957dce18a6cbed6125b5e95ef909c079470cf305ab09c4f93e677",
+    "min-wiener-result":
+        "87dc96b1ccb13d006bf31a636ce5fd1bc943a8002e1eedee4626f0af9cd5e9a4",
+    "threshold-row-signing":
+        "10ffbc4de306e9047dbc85999eeffd0231c1b0138733f60ccef98e1894ca531d",
+    "threshold-row-coloring":
+        "cbf0a956e9fab98d2ba59fd55732e9b02d7a9db3c0c401ea888e47b9d57e1831",
+    "sandwich-report":
+        "2846fb9a9e80b66325e6a5413a2201f731f3b045de0796ade1e5b538aea102fa",
+    "double-star-report":
+        "6395d06b52720c6681a336b407fbdd084e6aa680e90caf71684545fc31a3f4cb",
+    "soltes-report":
+        "c939105d1ec0fe2913bd4197d0ac95193732d9ca2693b487a56dfece45b132f0",
+    "certification-result":
+        "9f7543ba3e9e53a9e165d169f839cadf5a54a3cbde8012658743c702a3a96f30",
+    "path-witness":
+        "4eea0622d266cdecb07a86e88604de3686f55cd74c01bca88313673c87105206",
+    "colored-path-witness":
+        "96a9821e223d7f50c5d8c1816eafba112cde8760a91a50671ad59f93458c8752",
+    "edge-coloring":
+        "cd0b37cb9d192782a3f92e79b27ebba15c720c17e6fb15d5f9d4b9653a56aa5f",
+    "graph":
+        "fd375f512f6f95dfc773f4ab44320b9c8bfe58389960c4ea9c28e015ffce3aae",
+}
+
+
+@pytest.mark.parametrize("name", RENDERED)
+def test_rendered_types_round_trip_and_keep_their_bytes(name):
+    tree = as_tree(RENDERED[name]())
+    text = render_kv(tree)
+    assert parse_kv(text) == tree
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        RENDERED_SHA256[name]

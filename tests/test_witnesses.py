@@ -111,12 +111,6 @@ class TestSquarePath:
             assert not w.claim.expected
             assert certify(w).ok
 
-    def test_sample_path_is_zero_sum_endpoint_path(self):
-        w = square_path_signing(9)
-        sample = w.sample_path
-        assert sample.vertices[0] == 0 and sample.vertices[-1] == 8
-        assert sum(w.signing.signs[i] for i in sample.edge_indices) == 0
-
     def test_domain(self):
         with pytest.raises(ValueError):
             square_path_signing(1)
