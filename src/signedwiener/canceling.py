@@ -39,8 +39,10 @@ def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
                       max_n) -> CancelingVerdict:
     """Whether every pair has a canceling path after deleting any set
     of exactly `size` vertices.  Deletion sets enumerate in lex order,
-    so a failure certifies the first pair found.  Size 0 deletes
-    nothing, so its rows run on g and the coloring as given."""
+    so a failure certifies the first pair found.  A reversed path keeps
+    its color counts, so row u is swept only for the targets v > u and
+    the last vertex gets no row.  Size 0 deletes nothing, so its rows
+    run on g and the coloring as given."""
     check_fit(g, coloring)
     for dead in combinations(range(g.n), size):
         if dead:
@@ -51,8 +53,9 @@ def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
             back = {new: old for old, new in sub.vertex_map.items()}
         else:
             host, restricted, back = g, coloring, range(g.n)
-        for u in range(host.n):
-            row = canceling_reach_row(host, restricted, u, max_n=max_n)
+        for u in range(host.n - 1):
+            row = canceling_reach_row(host, restricted, u, max_n=max_n,
+                                      targets=range(u + 1, host.n))
             for v in range(u + 1, host.n):
                 if not row[v]:
                     return CancelingVerdict(False, (dead, back[u], back[v]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 from .canceling import (
@@ -24,10 +25,9 @@ from .canceling import (
     soltes_check_signed,
 )
 from .distances import (
-    DEFAULT_MAX_N_COLORED,
-    DEFAULT_MAX_N_SIGNED,
     INFINITE,
     EdgeColoring,
+    GuardOverride,
     SizeGuardError,
     signed_distance,
     wiener_classical,
@@ -42,7 +42,6 @@ from .graphs import (
 from .reports import as_tree, render_kv
 from .reproduce import SUITES
 from .search import (
-    DEFAULT_MAX_SEARCH_BITS,
     dyck_distribution,
     find_k_canceling_signing,
     min_signed_wiener,
@@ -156,15 +155,6 @@ def _certificate_line(certificate) -> str:
     return f"certificate: delete {list(deleted)}, pair ({u},{v})"
 
 
-def _warn_guard(args, max_n_default: int = DEFAULT_MAX_N_SIGNED) -> None:
-    """Warn only when an override loosens a guard."""
-    bits = _max_bits(args) if hasattr(args, "max_edges") else None
-    if (args.max_n is not None and args.max_n > max_n_default
-            or bits is not None and bits > DEFAULT_MAX_SEARCH_BITS):
-        print("guard override in effect; this may take a long time",
-              file=sys.stderr)
-
-
 def _max_bits(args):
     """The candidate-bit budget that --max-edges E gives the scan that
     runs: E-1 bits for signings (the first sign is fixed) and
@@ -196,7 +186,6 @@ def _guard_refusal(args, exc: SizeGuardError) -> str:
 def _cmd_dist(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
-    _warn_guard(args)
     d = signed_distance(inp.graph, signs, args.u, args.v, max_n=args.max_n)
     _emit(args, {"u": args.u, "v": args.v, "distance": d},
           [f"d({args.u},{args.v}) = {_fmt(d)}"])
@@ -205,7 +194,6 @@ def _cmd_dist(args) -> int:
 
 def _cmd_wiener(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args)
     if inp.signs is not None and not args.classical:
         value = wiener_signed(inp.graph, inp.signs, max_n=args.max_n)
         kind = "signed"
@@ -220,7 +208,6 @@ def _cmd_wiener(args) -> int:
 def _cmd_check(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
-    _warn_guard(args)
     verdict = is_k_canceling_signing(inp.graph, signs, args.k,
                                      max_n=args.max_n)
     tree = {"k": args.k} | as_tree(verdict)
@@ -234,7 +221,6 @@ def _cmd_check(args) -> int:
 def _cmd_check_colored(args) -> int:
     inp = load_input(args.input)
     colors = _need_colors(inp)
-    _warn_guard(args, DEFAULT_MAX_N_COLORED)
     coloring = EdgeColoring(args.r, colors)
     verdict = is_rk_canceling_coloring(inp.graph, coloring, args.k,
                                        max_n=args.max_n)
@@ -325,7 +311,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_search(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args)
     result = find_k_canceling_signing(inp.graph, args.k,
                                       use_filter=not args.no_filter,
                                       max_bits=_max_bits(args),
@@ -357,7 +342,6 @@ def _cmd_search(args) -> int:
 
 def _cmd_min_wiener(args) -> int:
     inp = load_input(args.input)
-    _warn_guard(args)
     result = min_signed_wiener(inp.graph, max_bits=_max_bits(args),
                                max_n=args.max_n)
     lines = [f"minimum signed wiener = {_fmt(result.value)} "
@@ -373,8 +357,6 @@ def _cmd_threshold(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError(f"empty range: --n-from {args.n_from} "
                          f"exceeds --n-to {args.n_to}")
-    _warn_guard(args, DEFAULT_MAX_N_SIGNED if args.r == 2
-                else DEFAULT_MAX_N_COLORED)
     rows = threshold_scan(args.r, args.k,
                           range(args.n_from, args.n_to + 1),
                           max_bits=_max_bits(args), max_n=args.max_n,
@@ -434,7 +416,6 @@ def _cmd_soltes(args) -> int:
     inp = load_input(args.input)
     if args.signed:
         signs = _need_signs(inp)
-        _warn_guard(args)
         report = soltes_check_signed(inp.graph, signs, max_n=args.max_n)
     else:
         report = soltes_check_classical(inp.graph)
@@ -581,16 +562,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_first_override(other):
+    """A showwarning that prints the first guard override the library
+    reports as one stderr line, drops later ones, and hands any other
+    warning to other.  The library warns only after its checks accept
+    the input, so a refused input gets its one error line alone.  Each
+    worker process of a threaded scan reports its own first override."""
+    shown = False
+
+    def show(message, category, *rest, **kw):
+        nonlocal shown
+        if not issubclass(category, GuardOverride):
+            other(message, category, *rest, **kw)
+        elif not shown:
+            shown = True
+            print(message, file=sys.stderr, flush=True)
+    return show
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SizeGuardError as exc:
-        print(f"error: {_guard_refusal(args, exc)}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", GuardOverride)
+        warnings.showwarning = _show_first_override(warnings.showwarning)
+        try:
+            return args.func(args)
+        except SizeGuardError as exc:
+            print(f"error: {_guard_refusal(args, exc)}", file=sys.stderr)
+            return 2
+        except (GraphFormatError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
 prefixes that do are dropped.  Signed distance sweeps stop at proven
 floors, a parity floor and a sign budget (see signed_distance_row).
+Both row functions take the targets their caller reads and stop once
+those are settled; a reversed path keeps its sum and color counts, so
+callers over unordered pairs ask row u only for v > u.
 One backward walk over the stored levels yields every path witness.
 Exponential, but exact, and comfortably fast at the sizes the guards
 admit.
@@ -19,6 +22,7 @@ admit.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .graphs import Graph, bfs_distances, structural_report
@@ -45,11 +49,21 @@ class SizeGuardError(RuntimeError):
         return f"{self.reason}; pass a larger {self.option} to override"
 
 
+class GuardOverride(UserWarning):
+    """A loosened size guard admitted an instance its default refuses.
+    Issued by the guard check that knows the instance's size, so it
+    comes only for work that runs, and before that work starts."""
+
+
 def _check_guard(n: int, max_n: int | None, default: int, what: str) -> None:
     cap = default if max_n is None else max_n
     if n > cap:
         raise SizeGuardError(f"{what} on n={n} exceeds the size guard {cap}",
                              "max_n")
+    if n > default:
+        warnings.warn(GuardOverride(
+            f"guard override in effect: {what} on n={n} exceeds the "
+            f"default guard {default}; this may take a long time"))
 
 
 @dataclass(frozen=True)
@@ -191,7 +205,8 @@ def _levels(g: Graph, steps, source: int, window=None):
 def _signed_steps(signs):
     """Bit 2p marks a path with p positive edges, so a path of length L
     has sum 2p - L and sums to zero exactly at bit L; keep = -1 caps
-    nothing."""
+    nothing.  An edge is positive where its entry is 1, so signs may
+    also be the colors of a two-coloring, color 1 read as +1."""
     return [(-1, 2 if s == 1 else 0) for s in signs]
 
 
@@ -217,7 +232,7 @@ def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
     signed guard; every other r on the count table."""
     if coloring.r == 2:
         _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
-        return _signed_steps(1 if c == 1 else -1 for c in coloring.colors), 2
+        return _signed_steps(coloring.colors), 2
     _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
     by_color, unit = _count_steps(g.n, coloring.r)
     return [by_color[c - 1] for c in coloring.colors], unit
@@ -328,12 +343,16 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
 
 
 def signed_distance_row(g: Graph, signing, source: int, *,
-                        max_n: int | None = None) -> list:
-    """Signed distances from source to every vertex.
+                        max_n: int | None = None, targets=None) -> list:
+    """Signed distances from source to every vertex of targets (default:
+    every vertex).
 
     Returns a list indexed by vertex; INFINITE marks unreachable
-    targets.  One DP sweep serves all targets and stops at proven
-    floors by two exact rules:
+    targets and every vertex outside targets, and source reads 0.
+    targets names the answers the caller reads, not a tuning knob: a
+    path reversed keeps its sum, so a caller summing over unordered
+    pairs asks row u only for the targets v > u.  One DP sweep serves
+    all targets and stops at proven floors by two exact rules:
 
     - Parity floor.  Every path between the two sides of a bipartite
       component has odd length, hence an odd sum, so |sum| >= 1 there;
@@ -354,9 +373,14 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     after level ecc(source).
     """
     sigma = as_signing(signing)
-    check_fit(g, sigma, source)
+    if targets is None:
+        check_fit(g, sigma, source)
+        targets = range(g.n)
+    else:
+        targets = tuple(targets)
+        check_fit(g, sigma, source, *targets)
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
-    return _signed_row(g, sigma.signs, source, range(g.n))
+    return _signed_row(g, sigma.signs, source, targets)
 
 
 def signed_distance(g: Graph, signing, u: int, v: int, *,
@@ -426,24 +450,42 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
 # canceling paths (every color equally often)
 
 def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
-                        max_n: int | None = None) -> list[bool]:
-    """For each vertex v, whether some simple path from source uses all
-    r colors equally often (source itself: yes, empty path)."""
-    check_fit(g, coloring, source)
+                        max_n: int | None = None,
+                        targets=None) -> list[bool]:
+    """For each vertex v of targets (default: every vertex), whether
+    some simple path from source uses all r colors equally often.
+
+    Source itself reads True (the empty path) and every vertex outside
+    targets reads False.  As in signed_distance_row, targets names the
+    answers the caller reads: a reversed path keeps its color counts,
+    so a caller checking unordered pairs asks row u only for v > u, and
+    the sweep ends once every target has a canceling path.
+    """
+    if targets is None:
+        check_fit(g, coloring, source)
+        pending = [True] * g.n
+    else:
+        targets = tuple(targets)
+        check_fit(g, coloring, source, *targets)
+        pending = [False] * g.n
+        for t in targets:
+            pending[t] = True
     steps, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
-    undone = g.n - 1
+    pending[source] = False
+    undone = pending.count(True)
     for length, level in enumerate(_levels(g, steps, source)):
         if length % r:
             continue
         cancel = 1 << length // r * unit
         for v, states in level.items():
-            if not reach[v]:
+            if pending[v]:
                 for x in states.values():
                     if x & cancel:
                         reach[v] = True
+                        pending[v] = False
                         undone -= 1
                         break
         if undone == 0:
@@ -490,7 +532,8 @@ def wiener_signed(g: Graph, signing, *, max_n: int | None = None):
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed Wiener")
     total = 0
     for u in range(g.n - 1):
-        row = signed_distance_row(g, sigma, u, max_n=max_n)
+        row = signed_distance_row(g, sigma, u, max_n=max_n,
+                                  targets=range(u + 1, g.n))
         for v in range(u + 1, g.n):
             if row[v] is INFINITE:
                 return INFINITE

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 from .canceling import (
@@ -23,6 +24,7 @@ from .canceling import (
 from .distances import (
     INFINITE,
     EdgeColoring,
+    GuardOverride,
     Signing,
     SizeGuardError,
     as_signing,
@@ -48,6 +50,11 @@ def _check_bits(bits: int, max_bits: int | None, what: str) -> None:
         raise SizeGuardError(
             f"{what} needs {bits} candidate bits, guard allows {limit}",
             "max_bits")
+    if bits > DEFAULT_MAX_SEARCH_BITS:
+        warnings.warn(GuardOverride(
+            f"guard override in effect: {what} needs {bits} candidate "
+            f"bits, past the default {DEFAULT_MAX_SEARCH_BITS}; this may "
+            f"take a long time"))
 
 
 @dataclass(frozen=True)

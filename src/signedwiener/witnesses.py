@@ -102,7 +102,8 @@ class CertificationResult:
 def _nonzero_pairs(g: Graph, signing: Signing, max_n=None):
     bad = []
     for u in range(g.n - 1):
-        row = signed_distance_row(g, signing, u, max_n=max_n)
+        row = signed_distance_row(g, signing, u, max_n=max_n,
+                                  targets=range(u + 1, g.n))
         for v in range(u + 1, g.n):
             if row[v] != 0:
                 bad.append((u, v))

@@ -1,0 +1,81 @@
+"""The summary step of tools/bench.py on canned run.py outputs; no
+benchmark runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench", ROOT / "tools"
+                                              / "bench.py")
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+METRICS = [{"name": "job_p90_s", "better": "lower"},
+           {"name": "work_per_s", "better": "higher"}]
+
+
+def report(p90: float, rate: float, passes: int = 7) -> str:
+    """A run.py report as it prints one: fingerprint first, the pass
+    line among the rest, the JSON result last."""
+    result = {"correct": True, "attempted": 20, "failed": 0,
+              "metrics": {"job_p90_s": {"value": p90, "unit": "s"},
+                          "work_per_s": {"value": rate, "unit": "1/s"}}}
+    return "\n".join([
+        "machine=x86_64 nproc=2 python=3.11.7 code=sha256:0123456789abcdef",
+        "pass seconds: 1.0 1.1; checks took 0.1 s",
+        f"workload=certify seed=3 trace=0 passes={passes} jobs=10 "
+        f"samples=20 failed=0 fail_ratio=0",
+        "  job_p90_s                          0.5 s",
+        json.dumps(result)]) + "\n"
+
+
+def test_parse_run_reads_fingerprint_passes_and_metrics():
+    run = bench.parse_run(report(0.5, 200.0, passes=31))
+    assert run == {
+        "fingerprint": "machine=x86_64 nproc=2 python=3.11.7 "
+                       "code=sha256:0123456789abcdef",
+        "passes": 31, "correct": True, "attempted": 20, "failed": 0,
+        "metrics": {"job_p90_s": 0.5, "work_per_s": 200.0}}
+
+
+def runs_of(pairs, workload="certify"):
+    """Runs from (parent, change) pairs of (p90, rate)."""
+    runs = []
+    for i, sides in enumerate(pairs):
+        for side, (p90, rate) in zip(bench.SIDES, sides):
+            runs.append({"workload": workload, "seed": 100 + i,
+                         "side": side, **bench.parse_run(report(p90, rate))})
+    return runs
+
+
+def test_summary_counts_wins_by_each_metrics_direction():
+    runs = runs_of([((4.0, 100.0), (2.0, 150.0)),
+                    ((5.0, 100.0), (3.0, 100.0)),
+                    ((6.0, 120.0), (7.0, 90.0)),
+                    ((3.0, 110.0), (2.0, 130.0))])
+    table = bench.summarize(runs, METRICS)["certify"]
+    assert table["pairs"] == 4
+    p90 = table["metrics"]["job_p90_s"]
+    assert (p90["won"], p90["lost"], p90["tied"]) == (3, 1, 0)
+    assert p90["parent"] == {"median": 4.5, "q1": 3.75, "q3": 5.25}
+    assert p90["change"] == {"median": 2.5, "q1": 2.0, "q3": 4.0}
+    assert p90["change_pct"] == pytest.approx(-100 * 2 / 4.5)
+    rate = table["metrics"]["work_per_s"]
+    assert (rate["won"], rate["lost"], rate["tied"]) == (2, 1, 1)
+    assert rate["better"] == "higher"
+
+
+def test_summary_keeps_workloads_apart_and_drops_unpaired_runs():
+    runs = runs_of([((1.0, 10.0), (1.0, 10.0))]) + runs_of(
+        [((2.0, 5.0), (1.0, 6.0))], workload="distance-sweep")
+    runs.append({**runs[0], "seed": 999})  # a parent run with no change
+    summary = bench.summarize(runs, METRICS)
+    assert list(summary) == ["certify", "distance-sweep"]
+    single = summary["certify"]["metrics"]["job_p90_s"]
+    assert summary["certify"]["pairs"] == 1
+    assert (single["won"], single["lost"], single["tied"]) == (0, 0, 1)
+    assert single["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert summary["distance-sweep"]["metrics"]["job_p90_s"]["won"] == 1

@@ -330,6 +330,83 @@ class TestSearch:
         assert code == 0
         assert "may take a long time" in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("dist", "fixture:theta4", "0", "9"), "vertex 9 out of range"),
+        (("check", "fixture:theta4", "--k", "0"), "k must be >= 1"),
+        (("check", "fixture:theta4", "--k", "6"), "needs n >= k+1"),
+        (("search", "fixture:theta4", "--k", "0"), "k must be >= 1"),
+        (("threshold", "--r", "1", "--k", "2", "--n-from", "3",
+          "--n-to", "4"), "r must be >= 2"),
+    ])
+    def test_loosened_guard_refusal_is_one_line(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, *argv, "--max-n", "30")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert reason in err
+
+    def test_loosened_guard_that_still_refuses_is_one_line(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "p40.txt"
+        path.write_text("40 39\n" + "".join(f"{i} {i + 1} +\n"
+                                              for i in range(39)))
+        code, _, err = run_cli(capsys, "wiener", str(path), "--max-n", "30")
+        assert code == 2 and err.count("\n") == 1
+        assert "pass a larger --max-n to override" in err
+        # K_8 needs 27 signing bits; --max-edges 25 loosens the guard to
+        # 24 bits, still too few
+        code, _, err = run_cli(capsys, "search", "family:complete:8",
+                               "--k", "1", "--no-filter",
+                               "--max-edges", "25")
+        assert code == 2 and err.count("\n") == 1
+        assert "candidate bits" in err
+
+    @staticmethod
+    def path_file(tmp_path, n, label="+"):
+        path = tmp_path / f"p{n}.txt"
+        path.write_text(f"{n} {n - 1}\n" + "".join(
+            f"{i} {i + 1} {label(i) if callable(label) else label}\n"
+            for i in range(n - 1)))
+        return str(path)
+
+    def test_override_warns_against_the_guard_that_runs(self, capsys,
+                                                         tmp_path):
+        # two colors run under the signed guard (24), three under the
+        # colored one (16): --max-n 30 admits P_20 past only the latter
+        for r, warns in ((2, False), (3, True)):
+            path = self.path_file(tmp_path, 20, lambda i: i % r + 1)
+            code, _, err = run_cli(capsys, "check-colored", path,
+                                   "--r", str(r), "--k", "1",
+                                   "--max-n", "30")
+            assert code == 1
+            assert err.startswith("guard override in effect") == warns
+            assert err.count("\n") == warns
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "{p25}", "0", "24"),
+        ("wiener", "{p25}"),
+        ("soltes", "{p25}", "--signed"),
+        # k = 2 guards the 25-vertex hosts left after one deletion, so
+        # --max-n 25 admits a 26-vertex input
+        ("check", "{p26}", "--k", "2"),
+    ])
+    def test_loosened_guard_warns_once_before_the_answer(self, capsys,
+                                                          tmp_path, argv):
+        files = {"p25": self.path_file(tmp_path, 25),
+                 "p26": self.path_file(tmp_path, 26)}
+        argv = [a.format(**files) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--max-n", "25")
+        assert code in (0, 1) and out
+        assert err.count("\n") == 1
+        assert err.startswith("guard override in effect: ")
+        assert err.endswith("; this may take a long time\n")
+
+    def test_override_within_the_default_stays_silent(self, capsys):
+        # theta4 has 10 vertices, inside the default guard, so a
+        # loosened --max-n admits nothing new
+        code, out, err = run_cli(capsys, "wiener", "fixture:theta4",
+                                 "--max-n", "30")
+        assert code == 0 and out and err == ""
+
 
 class TestConstruct:
     def test_output_parses_and_certifies(self, capsys):

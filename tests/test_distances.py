@@ -2,14 +2,20 @@
 
 import pickle
 import random
+import warnings
 
 import pytest
 
 import naive
 from signedwiener import distances
+from signedwiener.canceling import (
+    is_k_canceling_signing,
+    is_rk_canceling_coloring,
+)
 from signedwiener.distances import (
     INFINITE,
     EdgeColoring,
+    GuardOverride,
     PathWitness,
     Signing,
     SizeGuardError,
@@ -32,6 +38,11 @@ from signedwiener.graphs import (
     path_graph,
     square,
     star_graph,
+)
+from signedwiener.witnesses import (
+    complete_cyclic_signing,
+    complete_rk_coloring,
+    square_cycle_signing,
 )
 
 
@@ -364,6 +375,16 @@ class TestGuards:
         g = path_graph(25)
         assert signed_distance(g, (1,) * g.m, 0, 24, max_n=25) == 24
 
+    def test_override_warns_only_past_the_default(self):
+        # the check that knows n reports a loosened guard admitting it
+        g = path_graph(25)
+        with pytest.warns(GuardOverride, match="signed distance on n=25 "
+                          "exceeds the default guard 24"):
+            signed_distance_row(g, (1,) * g.m, 0, max_n=25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            signed_distance_row(path_graph(24), (1,) * 23, 0, max_n=30)
+
     def test_colored_guard_is_tighter(self):
         g = path_graph(17)
         chi = EdgeColoring(3, tuple(i % 3 + 1 for i in range(g.m)))
@@ -425,6 +446,63 @@ class TestEarlyStop:
             assert signed_distance_row(g, signs, s) == [
                 naive.signed_distance(g.n, g.edges, signs, s, v)
                 for v in range(g.n)]
+
+
+class TestPairRows:
+    """Work, not time: sweeps and DP states when each row is asked only
+    for the targets v > u of its source u (before that change, in
+    order: 105 sweeps and 2,233 states; 56 sweeps; 3,006, 2,034 and
+    4,149 states)."""
+
+    @staticmethod
+    def count(monkeypatch, query):
+        """query's answer, its _levels sweeps, and the (end, mask)
+        states those sweeps yield."""
+        work = [0, 0]
+        sweep = distances._levels
+
+        def counted(*args, **kwargs):
+            work[0] += 1
+            for level in sweep(*args, **kwargs):
+                work[1] += sum(len(states) for states in level.values())
+                yield level
+
+        monkeypatch.setattr(distances, "_levels", counted)
+        return query(), *work
+
+    def test_verdicts_skip_earlier_targets_and_the_last_row(self,
+                                                             monkeypatch):
+        w = complete_cyclic_signing(7)
+        verdict, sweeps, states = self.count(
+            monkeypatch,
+            lambda: is_k_canceling_signing(w.graph, w.signing, 3))
+        assert verdict.holds and (sweeps, states) == (84, 1652)
+        w = complete_rk_coloring(8, 3, 2)
+        verdict, sweeps, _ = self.count(
+            monkeypatch,
+            lambda: is_rk_canceling_coloring(w.graph, w.coloring, 2))
+        assert verdict.holds and sweeps == 48
+
+    @staticmethod
+    def alternating(g):
+        return g, tuple(1 if i % 2 == 0 else -1 for i in range(g.m))
+
+    @pytest.mark.parametrize("case, value, states", [
+        ("alternating K_10", 0, 2250),
+        ("alternating K_5,5", 25, 1414),
+        ("square_cycle_signing(10)", 0, 2643),
+    ])
+    def test_wiener_rows_sweep_only_later_targets(self, monkeypatch, case,
+                                                  value, states):
+        w = square_cycle_signing(10)
+        g, signs = {
+            "alternating K_10": self.alternating(complete_graph(10)),
+            "alternating K_5,5": self.alternating(
+                complete_bipartite_graph(5, 5)),
+            "square_cycle_signing(10)": (w.graph, w.signing),
+        }[case]
+        assert self.count(monkeypatch, lambda: wiener_signed(g, signs)) \
+            == (value, 9, states)
 
 
 class TestAchievableSums:

@@ -5,9 +5,9 @@ parity, global negation, deletion monotonicity, constant-signing
 collapse, spanning-extension and exact-size-shortcut consistency, and
 engine-vs-naive oracle equivalence up to eight vertices (with
 hypothesis installed, also the tree shortcut on random signed trees,
-the signed and canceling rows on random colored graphs, and the signed
-engine's early stops on constant, nearly constant, bipartite and
-disconnected inputs).
+the signed and canceling rows on random colored graphs, rows asked
+for random target sets, and the signed engine's early stops on
+constant, nearly constant, bipartite and disconnected inputs).
 """
 
 import math
@@ -296,6 +296,48 @@ class TestOracleEquivalence:
                 assert signed_distance_row(g, signs, u) == [
                     naive.signed_distance(g.n, g.edges, signs, u, v)
                     for v in range(g.n)]
+
+        check()
+
+    def test_target_rows_match_full_rows(self):
+        # a row asked for some targets equals the full row on them,
+        # reads INFINITE / False on every other vertex, and 0 / True at
+        # the source, whether or not the source is among the targets;
+        # the targets may come as a one-pass iterator
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def targeted(draw):
+            n = draw(st.integers(1, 8))
+            pairs = list(combinations(range(n), 2))
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                                 max_size=len(pairs)))
+            g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=g.m,
+                                  max_size=g.m))
+            colors = draw(st.lists(st.integers(1, 3), min_size=g.m,
+                                   max_size=g.m))
+            targets = draw(st.lists(st.integers(0, n - 1), unique=True))
+            return g, tuple(signs), EdgeColoring(3, tuple(colors)), targets
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(targeted())
+        def check(case):
+            g, signs, chi3, targets = case
+            chi2 = Signing(signs).as_coloring()
+            for u in range(g.n):
+                full = signed_distance_row(g, signs, u)
+                part = signed_distance_row(g, signs, u,
+                                           targets=iter(targets))
+                assert part == [full[v] if v in targets or v == u
+                                else math.inf for v in range(g.n)]
+                for chi in (chi2, chi3):
+                    full = canceling_reach_row(g, chi, u)
+                    part = canceling_reach_row(g, chi, u,
+                                               targets=iter(targets))
+                    assert part == [full[v] and (v in targets or v == u)
+                                    for v in range(g.n)]
 
         check()
 

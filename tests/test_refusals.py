@@ -120,6 +120,18 @@ def test_misfit_is_refused_with_one_message(name, case):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("row, tags", [
+    (signed_distance_row, _signs(K4.m)),
+    (canceling_reach_row, _colors(2)(K4.m)),
+    (canceling_reach_row, _colors(3)(K4.m)),
+])
+@pytest.mark.parametrize("bad", [4, -1])
+def test_out_of_range_target_is_refused(row, tags, bad):
+    with pytest.raises(ValueError) as exc:
+        row(K4, tags, 0, targets=(1, bad))
+    assert str(exc.value) == f"vertex {bad} out of range 0..3"
+
+
 def test_checks_run_before_the_size_guard():
     big = complete_graph(30)
     with pytest.raises(ValueError, match="^signing has 5 entries"):

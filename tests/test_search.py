@@ -18,6 +18,7 @@ from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
     INFINITE,
     EdgeColoring,
+    GuardOverride,
     Signing,
     SizeGuardError,
     bipartite_lower_bound,
@@ -101,6 +102,12 @@ class TestFindSigning:
         g = complete_graph(8)
         with pytest.raises(SizeGuardError):
             find_k_canceling_signing(g, 1, use_filter=False)
+
+    def test_override_warns_past_the_default_bits(self):
+        with pytest.warns(GuardOverride, match="signing search needs 27 "
+                          "candidate bits, past the default 22"):
+            find_k_canceling_signing(complete_graph(8), 1, use_filter=False,
+                                     max_bits=27)
 
 
 class TestMinWiener:

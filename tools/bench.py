@@ -1,0 +1,146 @@
+"""Benchmark a change against its parent commit: alternating pairs of
+runs of the benchmark, summarized into BENCH_<pr>.json.
+
+Run from the repository root:
+
+    python3 tools/bench.py --pr N --parent HEAD --seeds 4101 4102 4103
+
+The parent ref is checked out into a temporary git worktree, removed
+again at the end; the change is the working tree.  Every workload of
+BENCHMARK.json runs one pair per seed: each tree's own, unchanged
+perfbench/run.py once, for the benchmark's run_seconds.  The side that
+runs first alternates from seed to seed, so a slow stretch of the host
+falls on both sides alike.  The output keeps every run (its end-to-end
+metrics, pass count and code fingerprint) and, per workload and metric,
+both sides' median and quartiles and how many pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_run(text: str) -> dict:
+    """The fingerprint, pass count and metrics of one run.py report:
+    its first line is the fingerprint, one line carries passes=N, and
+    the last line is the JSON result."""
+    lines = text.strip().splitlines()
+    result = json.loads(lines[-1])
+    fields = dict(word.split("=", 1) for line in lines
+                  if " passes=" in line for word in line.split()
+                  if "=" in word)
+    return {"fingerprint": lines[0],
+            "passes": int(fields["passes"]),
+            "correct": result["correct"],
+            "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()}}
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric: each side's median and quartiles, the
+    median's relative change, and the pairs the change won, lost or
+    tied.  runs carry workload, seed, side and metrics; metrics are
+    BENCHMARK.json's end_to_end entries (name, better)."""
+    out = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        pairs: dict[int, dict] = {}
+        for run in runs:
+            if run["workload"] == workload:
+                pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        table = {}
+        for spec in metrics:
+            name, lower = spec["name"], spec["better"] == "lower"
+            sides = {side: _spread([p[side][name] for p in pairs])
+                     for side in SIDES}
+            won = lost = 0
+            for p in pairs:
+                gain = p["parent"][name] - p["change"][name]
+                gain = gain if lower else -gain
+                won += gain > 0
+                lost += gain < 0
+            base = sides["parent"]["median"]
+            table[name] = {
+                "better": spec["better"], **sides,
+                "change_pct": (100 * (sides["change"]["median"] - base)
+                               / base if base else None),
+                "won": won, "lost": lost, "tied": len(pairs) - won - lost}
+        out[workload] = {"pairs": len(pairs), "metrics": table}
+    return out
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"run.py failed in {tree} ({workload}, seed "
+                         f"{seed}):\n{proc.stdout}{proc.stderr}")
+    return parse_run(proc.stdout)
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--pr", required=True,
+                   help="number naming the output file BENCH_<pr>.json")
+    p.add_argument("--parent", required=True, help="git ref of the parent")
+    p.add_argument("--seeds", type=int, nargs="+", required=True,
+                   help="one pair of runs per seed and workload")
+    args = p.parse_args(argv)
+
+    seconds = spec["run_seconds"]
+    parent = _git("rev-parse", args.parent)
+    base = Path(tempfile.mkdtemp(prefix="bench-"))
+    trees = {"parent": base / "parent", "change": ROOT}
+    _git("worktree", "add", "--detach", str(trees["parent"]), parent)
+    try:
+        runs = []
+        for workload in (w["name"] for w in spec["workloads"]):
+            for turn, seed in enumerate(args.seeds):
+                order = SIDES if turn % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    print(f"{workload} seed {seed}: {side}",
+                          file=sys.stderr, flush=True)
+                    run = _run(trees[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "seed": seed,
+                                 "side": side, "first": order[0], **run})
+    finally:
+        _git("worktree", "remove", "--force", str(trees["parent"]))
+        base.rmdir()
+    report = {"parent": parent,
+              "change": "working tree at " + _git("rev-parse", "HEAD"),
+              "seconds": seconds, "seeds": args.seeds,
+              "summary": summarize(runs, spec["end_to_end"]),
+              "runs": runs}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
