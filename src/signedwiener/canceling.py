@@ -1,8 +1,10 @@
 """Decision procedures for canceling structures.
 
 Verifies k-canceling signings and (r,k)-canceling colorings, applies
-the structural necessary-condition filter, recognizes generalized theta
-graphs, and runs Wiener-invariance-under-vertex-deletion checks.
+the structural necessary-condition filter, and runs
+Wiener-invariance-under-vertex-deletion checks.  The filter also
+settles the small thetas: t internally disjoint paths on n vertices
+have n + t - 2 edges, below the n + 2 that k = 1 asks for when t <= 3.
 """
 
 from __future__ import annotations
@@ -163,96 +165,6 @@ def necessary_conditions(g: Graph, k: int = 1) -> NecessaryReport:
         edge_count=g.m,
         required_edges=g.n + k * (k - 1) // 2 + 2 * k,
     )
-
-
-@dataclass(frozen=True)
-class ThetaDecomposition:
-    """t internally disjoint paths sharing endpoints x and y."""
-
-    t: int
-    endpoints: tuple[int, int]
-    lengths: tuple[int, ...]
-    paths: tuple[tuple[int, ...], ...]
-
-
-def _walk_chain(g: Graph, x: int, first: int, stops: set[int]):
-    """Follow the degree-2 chain from x through first until a stop
-    vertex; None if the walk revisits or meets a branch vertex."""
-    path = [x, first]
-    prev, cur = x, first
-    while cur not in stops:
-        if g.degree(cur) != 2:
-            return None
-        a, b = g.neighbors(cur)
-        nxt = b if a == prev else a
-        if nxt in path and nxt not in stops:
-            return None
-        path.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(path)
-
-
-def theta_recognize(g: Graph) -> ThetaDecomposition | None:
-    """Decompose g into internally disjoint same-endpoint paths.
-
-    Recognizes exactly the graphs formed by t >= 2 such paths.  A bare
-    cycle is the t=2 case; its endpoints canonicalize to the two
-    smallest vertex indices.  Paths are reported in ascending order of
-    their first step out of x.
-    """
-    report = structural_report(g)
-    if not report.connected or g.n < 3:
-        return None
-    degrees = [g.degree(v) for v in range(g.n)]
-    branch = [v for v in range(g.n) if degrees[v] > 2]
-    if not branch:
-        if any(d != 2 for d in degrees):
-            return None
-        # a cycle; split it at the two smallest indices
-        x, y = 0, 1
-        paths = []
-        for first in g.neighbors(x):
-            p = _walk_chain(g, x, first, {y})
-            if p is None:
-                return None
-            paths.append(p)
-        paths.sort(key=lambda p: p[1])
-        return ThetaDecomposition(2, (x, y),
-                                  tuple(len(p) - 1 for p in paths),
-                                  tuple(paths))
-    if len(branch) != 2:
-        return None
-    x, y = branch
-    t = degrees[x]
-    if degrees[y] != t:
-        return None
-    paths = []
-    seen_internal = set()
-    for first in sorted(g.neighbors(x)):
-        p = _walk_chain(g, x, first, {y})
-        if p is None or p[-1] != y:
-            return None
-        internal = set(p[1:-1])
-        if internal & seen_internal:
-            return None
-        seen_internal |= internal
-        paths.append(p)
-    if len(seen_internal) != g.n - 2:
-        return None
-    if sum(len(p) - 1 for p in paths) != g.m:
-        return None
-    return ThetaDecomposition(t, (x, y),
-                              tuple(len(p) - 1 for p in paths),
-                              tuple(paths))
-
-
-def theta_verdict(g: Graph) -> bool | None:
-    """False when g is a <= 3-path theta graph (such graphs admit no
-    canceling signing); None when this filter cannot decide."""
-    rec = theta_recognize(g)
-    if rec is not None and rec.t <= 3:
-        return False
-    return None
 
 
 @dataclass(frozen=True)

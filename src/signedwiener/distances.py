@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .graphs import Graph, bfs_distances, structural_report
+from .graphs import Graph, bfs_distances
 
 INFINITE = math.inf
 
@@ -542,28 +542,12 @@ def wiener_signed(g: Graph, signing, *, max_n: int | None = None):
 
 
 def bipartite_lower_bound(g: Graph) -> int:
-    """Product |U||V| summed per bipartite component; 0 when the graph
-    has an odd cycle anywhere."""
-    report = structural_report(g)
-    if not report.bipartite:
-        return 0
-    color = [-1] * g.n
-    total = 0
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        sizes = [1, 0]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    sizes[color[w]] += 1
-                    stack.append(w)
-        total += sizes[0] * sizes[1]
-    return total
+    """Sum of the parity floors over pairs u < v in one component: the
+    pairs across the two sides of a bipartite component have only odd
+    paths, so each adds at least 1.  That is |U||V| summed over the
+    bipartite components; a component with an odd cycle adds 0."""
+    return sum(f for u in range(g.n)
+               for f in _parity_floors(g, u)[u + 1:] if f != INFINITE)
 
 
 def leaf_lower_bound(g: Graph) -> int:

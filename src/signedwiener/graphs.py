@@ -141,29 +141,26 @@ class StructuralReport:
 
 
 def structural_report(g: Graph) -> StructuralReport:
-    """Connectivity, bipartiteness with the parts, and minimum degree."""
-    color = [-1] * g.n
-    bipartite = True
+    """Connectivity, bipartiteness with the parts, and minimum degree.
+
+    One bfs_distances sweep per component, from its least vertex: the
+    parity of a vertex's BFS layer names its side, so each component's
+    least vertex lies in parts[0].  The graph is bipartite iff every
+    edge joins two sides.
+    """
+    side = [-1] * g.n
     components = 0
     for s in range(g.n):
-        if color[s] != -1:
-            continue
-        components += 1
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    bipartite = False
+        if side[s] == -1:
+            components += 1
+            for v, hops in enumerate(bfs_distances(g, s)):
+                if hops is not math.inf:
+                    side[v] = hops % 2
+    bipartite = all(side[a] != side[b] for a, b in g.edges)
     parts = None
     if bipartite:
-        side0 = tuple(v for v in range(g.n) if color[v] == 0)
-        side1 = tuple(v for v in range(g.n) if color[v] == 1)
-        parts = (side0, side1)
+        parts = tuple(tuple(v for v in range(g.n) if side[v] == p)
+                      for p in (0, 1))
     return StructuralReport(
         connected=components <= 1,
         bipartite=bipartite,

@@ -33,7 +33,14 @@ from .distances import (
     leaf_lower_bound,
     wiener_signed,
 )
-from .graphs import Graph, complete_graph, is_connected, path_graph, star_graph
+from .graphs import (
+    Graph,
+    bfs_distances,
+    complete_graph,
+    is_connected,
+    path_graph,
+    star_graph,
+)
 from .witnesses import complete_cyclic_signing, complete_rk_coloring
 
 # 2^22 candidate signings is a few minutes of checking; beyond that the
@@ -297,26 +304,6 @@ def tree_signed_wiener(tree: Graph, signing) -> int:
     return total
 
 
-def _tree_centers(n: int, nbrs: list[list[int]]) -> list[int]:
-    if n == 1:
-        return [0]
-    degree = [len(a) for a in nbrs]
-    layer = [v for v in range(n) if degree[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for w in nbrs[v]:
-                if degree[w] > 1:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
-
-
 def _rooted_code(root: int, parent: int, nbrs: list[list[int]]) -> tuple:
     subs = sorted(_rooted_code(w, root, nbrs)
                   for w in nbrs[root] if w != parent)
@@ -325,9 +312,13 @@ def _rooted_code(root: int, parent: int, nbrs: list[list[int]]) -> tuple:
 
 def tree_canonical_form(tree: Graph) -> tuple:
     """Isomorphism-invariant code: the lexicographically least rooted
-    code over the one or two centers."""
+    code over the one or two centers, the vertices of least
+    eccentricity."""
     nbrs = [list(tree.neighbors(v)) for v in range(tree.n)]
-    codes = [_rooted_code(c, -1, nbrs) for c in _tree_centers(tree.n, nbrs)]
+    ecc = [max(bfs_distances(tree, v)) for v in range(tree.n)]
+    radius = min(ecc)
+    codes = [_rooted_code(c, -1, nbrs) for c in range(tree.n)
+             if ecc[c] == radius]
     return (tree.n, min(codes))
 
 

@@ -99,45 +99,40 @@ class CertificationResult:
     note: str | None = None
 
 
-def _nonzero_pairs(g: Graph, signing: Signing, max_n=None):
+def _nonzero_pairs(g: Graph, signing: Signing):
     bad = []
     for u in range(g.n - 1):
-        row = signed_distance_row(g, signing, u, max_n=max_n,
-                                  targets=range(u + 1, g.n))
+        row = signed_distance_row(g, signing, u, targets=range(u + 1, g.n))
         for v in range(u + 1, g.n):
             if row[v] != 0:
                 bad.append((u, v))
     return bad
 
 
-def certify(w: SignedWitness, *, max_n: int | None = None
-            ) -> CertificationResult:
+def certify(w: SignedWitness) -> CertificationResult:
     """Check the witness's claim with the verification engine."""
     c = w.claim
     if c.kind == "w-zero":
         if w.signing is None:
             raise ValueError("w-zero claims apply to signings")
-        bad = _nonzero_pairs(w.graph, w.signing, max_n=max_n)
+        bad = _nonzero_pairs(w.graph, w.signing)
         observed = not bad
+        cert = ((),) + tuple(bad[0]) if bad else None
         if c.exceptional_pair is not None:
             ok = bad == [c.exceptional_pair]
             note = None if ok else f"failing pairs {bad}"
-            return CertificationResult(
-                ok, observed, ((),) + tuple(bad[0]) if bad else None, note)
-        cert = ((),) + tuple(bad[0]) if bad else None
+            return CertificationResult(ok, observed, cert, note)
         return CertificationResult(observed == c.expected, observed, cert)
     if c.kind == "k-canceling":
         if w.signing is None:
             raise ValueError("k-canceling claims apply to signings")
-        verdict = is_k_canceling_signing(w.graph, w.signing, c.k,
-                                         max_n=max_n)
+        verdict = is_k_canceling_signing(w.graph, w.signing, c.k)
     else:
         if w.coloring is None:
             raise ValueError("rk-canceling claims apply to colorings")
         if w.coloring.r != c.r:
             raise ValueError("coloring r does not match the claim")
-        verdict = is_rk_canceling_coloring(w.graph, w.coloring, c.k,
-                                           max_n=max_n)
+        verdict = is_rk_canceling_coloring(w.graph, w.coloring, c.k)
     return CertificationResult(verdict.holds == c.expected, verdict.holds,
                                verdict.certificate)
 

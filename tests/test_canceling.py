@@ -1,4 +1,4 @@
-"""Verification procedures, structural filters, theta recognition."""
+"""Verification procedures, structural filters, small thetas."""
 
 import itertools
 import math
@@ -14,8 +14,6 @@ from signedwiener.canceling import (
     necessary_conditions,
     soltes_check_classical,
     soltes_check_signed,
-    theta_recognize,
-    theta_verdict,
 )
 from signedwiener.distances import EdgeColoring, Signing
 from signedwiener.graphs import (
@@ -26,8 +24,9 @@ from signedwiener.graphs import (
     square,
     star_graph,
     theta_graph,
-    union_at_vertex,
 )
+from signedwiener.search import theta_length_tuples
+from signedwiener.witnesses import special_witness
 
 
 def cyclic_signs(n):
@@ -224,52 +223,16 @@ class TestNecessaryConditions:
         assert rep.required_min_degree == 2
 
 
-class TestThetaRecognition:
-    def test_four_path_shape(self):
-        rec = theta_recognize(theta_graph([1, 2, 2, 3]))
-        assert rec is not None
-        assert rec.t == 4 and rec.endpoints == (0, 1)
-        assert sorted(rec.lengths) == [1, 2, 2, 3]
-        for p in rec.paths:
-            assert p[0] == 0 and p[-1] == 1
-
-    def test_cycle_is_two_paths(self):
-        rec = theta_recognize(cycle_graph(7))
-        assert rec.t == 2 and rec.endpoints == (0, 1)
-        assert sorted(rec.lengths) == [1, 6]
-
-    def test_scrambled_cycle(self):
-        g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])
-        rec = theta_recognize(g)
-        assert rec is not None and rec.t == 2
-        assert rec.endpoints == (0, 1)
-        assert sorted(rec.lengths) == [2, 3]
-
-    def test_k23(self):
-        rec = theta_recognize(theta_graph([2, 2, 2]))
-        assert rec.t == 3 and rec.lengths == (2, 2, 2)
-
-    def test_non_theta(self):
-        assert theta_recognize(complete_graph(4)) is None
-        assert theta_recognize(path_graph(5)) is None
-        glued = union_at_vertex(cycle_graph(3), cycle_graph(3), 0, 0)
-        assert theta_recognize(glued) is None
-        assert theta_recognize(Graph(4, [(0, 1), (2, 3)])) is None
-
-    def test_reconstructs_generated_lengths(self):
-        cases = [(1, 2, 2), (2, 2, 2), (1, 2, 2, 3), (3, 3, 4),
-                 (2, 3, 4, 5), (1, 4), (2, 2)]
-        for lengths in cases:
-            rec = theta_recognize(theta_graph(lengths))
-            assert rec is not None
-            assert sorted(rec.lengths) == sorted(lengths)
-            assert rec.t == len(lengths)
-
-    def test_verdict(self):
-        assert theta_verdict(cycle_graph(9)) is False
-        assert theta_verdict(theta_graph([2, 2, 2])) is False
-        assert theta_verdict(theta_graph([1, 2, 2, 3])) is None
-        assert theta_verdict(complete_graph(4)) is None
+class TestSmallThetas:
+    def test_filter_rejects_thetas_of_at_most_three_paths(self):
+        # t paths on n vertices have n + t - 2 edges, short of k = 1's
+        # n + 2 whenever t <= 3; the 4-path theta4 witness passes
+        for lengths in theta_length_tuples(3, 16):
+            g = theta_graph(lengths)
+            assert g.m == g.n + len(lengths) - 2
+            assert not necessary_conditions(g, 1).edge_count_ok
+        assert necessary_conditions(special_witness("theta4").graph,
+                                    1).passes
 
 
 class TestSoltes:

@@ -39,6 +39,7 @@ from signedwiener.graphs import (
     square,
     star_graph,
 )
+from signedwiener.search import connected_graphs
 from signedwiener.witnesses import (
     complete_cyclic_signing,
     complete_rk_coloring,
@@ -333,6 +334,24 @@ class TestLowerBounds:
         assert bipartite_lower_bound(two_edges) == 2
         with_isolated = Graph(3, [(0, 1)])
         assert bipartite_lower_bound(with_isolated) == 1
+        # a component with an odd cycle adds 0 and leaves the others'
+        # pairs counted; W is infinite here, so any finite bound holds
+        triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        assert bipartite_lower_bound(triangle_and_edge) == 1
+
+    def test_bipartite_bound_matches_networkx_sides(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                h = nx.Graph(g.edges)
+                h.add_nodes_from(range(g.n))
+                want = 0
+                for comp in nx.connected_components(h):
+                    sub = h.subgraph(comp)
+                    if nx.is_bipartite(sub):
+                        a, b = nx.bipartite.sets(sub)
+                        want += len(a) * len(b)
+                assert bipartite_lower_bound(g) == want
 
     def test_leaf_bound(self):
         assert leaf_lower_bound(star_graph(5)) == 4

@@ -174,8 +174,9 @@ class TestStructure:
     def test_matches_networkx_on_random_graphs(self):
         import random
         rng = random.Random(7)
-        for trial in range(40):
-            n = rng.randint(1, 9)
+        bipartite = 0
+        for trial in range(80):
+            n = rng.randint(0, 9)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = [e for e in pairs if rng.random() < 0.4]
             g = Graph(n, edges)
@@ -183,6 +184,16 @@ class TestStructure:
             r = structural_report(g)
             assert r.connected == (n <= 1 or nx.is_connected(h))
             assert r.bipartite == nx.is_bipartite(h)
+            assert (r.parts is None) == (not r.bipartite)
+            if r.parts is None:
+                continue
+            bipartite += 1
+            side0, side1 = map(set, r.parts)
+            assert all((a in side0) != (b in side0) for a, b in g.edges)
+            assert sorted(r.parts[0] + r.parts[1]) == list(range(n))
+            assert all(min(comp) in side0
+                       for comp in nx.connected_components(h))
+        assert bipartite >= 10
 
     def test_bfs_distances(self):
         g = union_at_vertex(path_graph(3), path_graph(3), 2, 0)

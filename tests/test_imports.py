@@ -1,11 +1,13 @@
-"""No module imports a name it never uses, and no private name in the
-package goes unread.
+"""No module imports a name it never uses, no private name in the
+package goes unread, and no public name is kept alive by tests alone.
 
 A stdlib ast pass over the package, tests, demos and tools: every name
 an import binds must be read somewhere in its module (or listed in
 __all__).  An import line carrying a `# noqa` comment is exempt.  A
 second pass over the package alone: every private name a module binds
-at top level must be read somewhere in the package."""
+at top level must be read somewhere in the package.  A third: every
+public def or class at the package's top level must be read by the
+package, the benchmark, the tools or the demos."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests", "demos", "tools")
                for p in (ROOT / d).rglob("*.py"))
 SRC = sorted((ROOT / "src").rglob("*.py"))
+CALLERS = sorted(p for d in ("src", "perfbench", "tools", "demos")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -104,3 +108,27 @@ def test_no_unread_private_names():
               for line, name in private_definitions(text)
               if name not in read]
     assert unread == []
+
+
+def public_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each def or class a module binds at top level
+    under a name without a leading underscore."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_public_detector():
+    source = ("def shown():\n    pass\n\nclass Shown:\n    pass\n\n"
+              "def _hidden():\n    pass\n\nvalue = 1\n")
+    assert public_definitions(source) == [(1, "shown"), (4, "Shown")]
+
+
+def test_every_public_name_has_a_caller():
+    read = set().union(*(names_read(path.read_text()) for path in CALLERS))
+    uncalled = [f"{path.relative_to(ROOT)}:{line} {name}"
+                for path in SRC
+                for line, name in public_definitions(path.read_text())
+                if name not in read]
+    assert uncalled == []

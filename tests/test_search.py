@@ -268,6 +268,22 @@ class TestTrees:
                 Graph(8, [tuple(sorted(e)) for e in t.edges])))
         assert ours == theirs
 
+    def test_canonical_form_ignores_labels(self):
+        # n <= 10 holds one-center trees (odd paths, stars) and
+        # two-center trees (even paths), so both rootings are covered
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(13)
+        for n in range(1, 11):
+            for t in nx.nonisomorphic_trees(n):
+                tree = Graph(n, list(t.edges))
+                code = tree_canonical_form(tree)
+                for _ in range(3):
+                    label = list(range(n))
+                    rng.shuffle(label)
+                    moved = Graph(n, [(label[u], label[v])
+                                      for u, v in tree.edges])
+                    assert tree_canonical_form(moved) == code
+
     def test_records(self):
         records = {tree_canonical_form(r.tree): r for r in enumerate_trees(4)}
         path = records[tree_canonical_form(path_graph(4))]
