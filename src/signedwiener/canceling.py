@@ -1,7 +1,8 @@
 """Decision procedures for canceling structures.
 
-Verifies k-canceling signings and (r,k)-canceling colorings, applies
-the structural necessary-condition filter, and runs
+Verifies k-canceling signings and (r,k)-canceling colorings, builds
+the path table that threshold sweeps decide their candidates by,
+applies the structural necessary-condition filter, and runs
 Wiener-invariance-under-vertex-deletion checks.  The filter also
 settles the small thetas: t internally disjoint paths on n vertices
 have n + t - 2 edges, below the n + 2 that k = 1 asks for when t <= 3.
@@ -10,18 +11,25 @@ have n + t - 2 edges, below the n + 2 that k = 1 asks for when t <= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .distances import (
     EdgeColoring,
     Signing,
+    _cancel_guard,
     as_signing,
     canceling_reach_row,
     check_fit,
     wiener_classical,
     wiener_signed,
 )
-from .graphs import Graph, delete_vertices, is_k_connected, structural_report
+from .graphs import (
+    Graph,
+    complete_graph,
+    delete_vertices,
+    is_k_connected,
+    structural_report,
+)
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,12 @@ class CancelingVerdict:
 
     holds: bool
     certificate: tuple[tuple[int, ...], int, int] | None = None
+
+
+def _deletion_size(n: int, k: int) -> int:
+    """s = min(k-1, n-2), the one deletion size checked (0 when
+    n < 2); see is_rk_canceling_coloring."""
+    return max(min(k - 1, n - 2), 0)
 
 
 def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
@@ -62,6 +76,55 @@ def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
                 if not row[v]:
                     return CancelingVerdict(False, (dead, back[u], back[v]))
     return CancelingVerdict(True)
+
+
+def _path_table(n: int, r: int, k: int, *, max_n) -> list[tuple]:
+    """The canceling question of every r-coloring of K_n at k as one
+    table, built once for a sweep over many colorings.
+
+    Per deletion set D of size s = min(k-1, n-2) in lex order and per
+    pair u < v of K_n - D in lex order, one entry lists the simple
+    uv-paths of K_n - D whose length L is divisible by r, shortest
+    first, each as (bitmask of its K_n edge indices, L // r).  The
+    verdicts' size guard runs first, on the n - s vertices their paths
+    run on, so a refused row lists no path.
+    """
+    size = _deletion_size(n, k)
+    _cancel_guard(n - size, r, max_n)
+    kn = complete_graph(n)
+    table = []
+    for dead in combinations(range(n), size):
+        alive = [v for v in range(n) if v not in dead]
+        for u, v in combinations(alive, 2):
+            inner = [w for w in alive if w != u and w != v]
+            paths = []
+            for length in range(r, len(alive), r):
+                for mid in permutations(inner, length - 1):
+                    walk = (u, *mid, v)
+                    mask = 0
+                    for a, b in zip(walk, walk[1:]):
+                        mask |= 1 << kn.edge_index(a, b)
+                    paths.append((mask, length // r))
+            table.append(tuple(paths))
+    return table
+
+
+def _table_holds(table: list[tuple], masks: list[int]) -> bool:
+    """Whether the coloring whose colors 1..r-1 cover the edge bitmasks
+    masks is canceling by _path_table's table: every entry needs a path
+    meeting each of those colors exactly L // r times (color r then
+    takes the rest).  Same answer as the verdicts, whose lemma the
+    table's deletion size follows."""
+    for paths in table:
+        for mask, share in paths:
+            for color in masks:
+                if (mask & color).bit_count() != share:
+                    break
+            else:
+                break
+        else:
+            return False
+    return True
 
 
 def is_k_canceling_signing(g: Graph, signing, k: int, *,
@@ -98,8 +161,8 @@ def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
         coloring = coloring.as_coloring()
     elif not isinstance(coloring, EdgeColoring):
         raise TypeError("expected an EdgeColoring or Signing")
-    size = max(min(k - 1, g.n - 2), 0)
-    return _deletion_verdict(g, coloring, size, max_n=max_n)
+    return _deletion_verdict(g, coloring, _deletion_size(g.n, k),
+                             max_n=max_n)
 
 
 @dataclass(frozen=True)

@@ -225,15 +225,24 @@ def _count_steps(n: int, r: int):
             sum(b ** p for p in range(r)))
 
 
+def _cancel_guard(n: int, r: int, max_n) -> None:
+    """The size guard of a canceling query with r colors on n vertices:
+    the signed guard for two colors, the colored guard otherwise."""
+    if r == 2:
+        _check_guard(n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
+    else:
+        _check_guard(n, max_n, DEFAULT_MAX_N_COLORED,
+                     "canceling-path search")
+
+
 def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
     """Guard a canceling query that fits g and return its steps and
     unit: a path of length j*r cancels iff bit j*unit is set.  Two
-    colors run on the narrower signed table (color 1 as +1) under the
-    signed guard; every other r on the count table."""
+    colors run on the narrower signed table (color 1 as +1); every
+    other r on the count table."""
+    _cancel_guard(g.n, coloring.r, max_n)
     if coloring.r == 2:
-        _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "zero-path search")
         return _signed_steps(coloring.colors), 2
-    _check_guard(g.n, max_n, DEFAULT_MAX_N_COLORED, "canceling-path search")
     by_color, unit = _count_steps(g.n, coloring.r)
     return [by_color[c - 1] for c in coloring.colors], unit
 

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 from .canceling import (
+    _path_table,
+    _table_holds,
     is_k_canceling_signing,
     is_rk_canceling_coloring,
     necessary_conditions,
@@ -200,7 +202,18 @@ class ThresholdRow:
     witness: Signing | EdgeColoring | None
 
 
+def _color_masks(tags, r: int) -> list[int]:
+    """The edge bitmasks of colors 1..r-1 in a coloring's colors or a
+    signing's signs; a sign -1 indexes the last slot, color r = 2."""
+    masks = [0] * (r + 1)
+    for i, c in enumerate(tags):
+        masks[c] |= 1 << i
+    return masks[1:r]
+
+
 def _threshold_one(args) -> ThresholdRow:
+    """One row: the probes through the verdicts, then, if none holds,
+    the sweep against one path table of K_n, wrapping only its hit."""
     r, k, n, max_bits, max_n = args
     kn = complete_graph(n)
     if r == 2:
@@ -209,15 +222,14 @@ def _threshold_one(args) -> ThresholdRow:
         probes = [complete_cyclic_signing(n).signing if n >= 3
                   else Signing((1,))]
         bits = kn.m - 1
-        space = map(Signing, _half_space_signings(kn.m))
+        space = _half_space_signings(kn.m)
         verdict = is_k_canceling_signing
     else:
         # the paper's coloring exists for k >= 2 on enough vertices
         probes = [complete_rk_coloring(n, r, k).coloring] \
             if k >= 2 and n >= 3 * (k - 1) * (r - 1) else []
         bits = math.ceil(kn.m * math.log2(r))
-        space = (EdgeColoring(r, colors)
-                 for colors in _surjective_growth_colorings(kn.m, r))
+        space = _surjective_growth_colorings(kn.m, r)
         verdict = is_rk_canceling_coloring
 
     def holds(candidate) -> bool:
@@ -226,8 +238,12 @@ def _threshold_one(args) -> ThresholdRow:
     hit, examined = _first_hit(probes, holds)
     if hit is None:
         _check_bits(bits, max_bits, f"threshold scan at n={n}")
-        hit, swept = _first_hit(space, holds)
+        table = _path_table(n, r, k, max_n=max_n)
+        tags, swept = _first_hit(
+            space, lambda tags: _table_holds(table, _color_masks(tags, r)))
         examined += swept
+        if tags is not None:
+            hit = Signing(tags) if r == 2 else EdgeColoring(r, tags)
     return ThresholdRow(n, hit is not None, examined, hit)
 
 

@@ -79,3 +79,19 @@ def test_summary_keeps_workloads_apart_and_drops_unpaired_runs():
     assert (single["won"], single["lost"], single["tied"]) == (0, 0, 1)
     assert single["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert summary["distance-sweep"]["metrics"]["job_p90_s"]["won"] == 1
+
+
+def test_summary_reports_each_sides_median_passes():
+    # peak_rss_mb grows with the passes of a run, so the summary keeps
+    # each side's median pass count beside the metrics; an unpaired
+    # run counts for neither side
+    runs = []
+    for i, counts in enumerate([(9, 12), (8, 13), (10, 11), (9, 25)]):
+        for side, passes in zip(bench.SIDES, counts):
+            runs.append({"workload": "exhaustive-search", "seed": i,
+                         "side": side,
+                         **bench.parse_run(report(1.0, 1.0, passes))})
+    runs.append({**runs[0], "seed": 999, "passes": 100})
+    summary = bench.summarize(runs, METRICS)["exhaustive-search"]
+    assert summary["pairs"] == 4
+    assert summary["passes"] == {"parent": 9, "change": 12.5}

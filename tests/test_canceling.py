@@ -25,8 +25,17 @@ from signedwiener.graphs import (
     star_graph,
     theta_graph,
 )
-from signedwiener.search import theta_length_tuples
-from signedwiener.witnesses import special_witness
+from signedwiener.search import (
+    _color_masks,
+    _half_space_signings,
+    _surjective_growth_colorings,
+    theta_length_tuples,
+)
+from signedwiener.witnesses import (
+    complete_cyclic_signing,
+    complete_rk_coloring,
+    special_witness,
+)
 
 
 def cyclic_signs(n):
@@ -184,6 +193,104 @@ class TestRkCanceling:
                 if first is not None:
                     break
             assert verdict.certificate == first, case
+
+
+class TestPathTable:
+    """The threshold sweep's path table against the verdicts."""
+
+    @staticmethod
+    def table_verdict(table, tags, r):
+        return canceling._table_holds(table, _color_masks(tags, r))
+
+    @staticmethod
+    def verdict(g, tags, r, k):
+        if r == 2:
+            return is_k_canceling_signing(g, Signing(tags), k).holds
+        return is_rk_canceling_coloring(g, EdgeColoring(r, tags), k).holds
+
+    @pytest.mark.parametrize("n, r, ks", [
+        (4, 2, (1, 2, 3)), (4, 3, (1, 2)), (4, 4, (1,)),
+        (5, 2, (1, 2, 3, 4)), (5, 3, (1, 2))])
+    def test_every_candidate_of_small_rows(self, n, r, ks):
+        g = complete_graph(n)
+        space = (list(_half_space_signings(g.m)) if r == 2
+                 else list(_surjective_growth_colorings(g.m, r)))
+        for k in ks:
+            table = canceling._path_table(n, r, k, max_n=None)
+            for tags in space:
+                assert self.table_verdict(table, tags, r) == \
+                    self.verdict(g, tags, r, k), (k, tags)
+
+    def test_rows_hold_both_ways(self):
+        # the sweeps above see both verdicts, so neither side is vacuous
+        g = complete_graph(5)
+        for r, k in ((2, 1), (2, 2), (3, 1)):
+            table = canceling._path_table(5, r, k, max_n=None)
+            space = (_half_space_signings(g.m) if r == 2
+                     else _surjective_growth_colorings(g.m, r))
+            seen = {self.table_verdict(table, tags, r) for tags in space}
+            assert seen == {True, False}, (r, k)
+
+    def test_table_layout(self):
+        # K_4 at k = 2 deletes one vertex: 4 sets x 3 pairs, each pair
+        # with one path of two edges through the third vertex
+        table = canceling._path_table(4, 2, 2, max_n=None)
+        g = complete_graph(4)
+        assert len(table) == 12
+        first = table[0]  # D = (0,), pair (1, 2) via 3
+        assert first == ((1 << g.edge_index(1, 3) | 1 << g.edge_index(2, 3),
+                          1),)
+        # k = 1 on K_5, r = 3: paths of 3 edges, 3 * 2 orders per pair
+        table = canceling._path_table(5, 3, 1, max_n=None)
+        assert len(table) == 10
+        assert all(len(paths) == 6 and {j for _, j in paths} == {1}
+                   for paths in table)
+
+    def test_constructions_and_their_one_edge_changes(self):
+        # random colorings mostly fail at the first pair; the paper's
+        # constructions hold, and each one-edge change fails late if at
+        # all, so these reach deep into the table
+        cases = [(n, 2, complete_cyclic_signing(n).signing.signs)
+                 for n in (6, 7)]
+        cases.append((6, 3, complete_rk_coloring(6, 3, 2).coloring.colors))
+        for n, r, base in cases:
+            g = complete_graph(n)
+            values = (1, -1) if r == 2 else tuple(range(1, r + 1))
+            variants = [base] + [base[:e] + (x,) + base[e + 1:]
+                                 for e in range(g.m) for x in values
+                                 if x != base[e]]
+            for k in (1, 2, 3):
+                table = canceling._path_table(n, r, k, max_n=None)
+                for tags in variants:
+                    assert self.table_verdict(table, tags, r) == \
+                        self.verdict(g, tags, r, k), (n, r, k, tags)
+
+    def test_random_colorings_of_k6_k7(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tables = {}
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.sampled_from((6, 7)))
+            r = draw(st.sampled_from((2, 3)))
+            k = draw(st.integers(1, 3))
+            m = n * (n - 1) // 2
+            values = (1, -1) if r == 2 else tuple(range(1, r + 1))
+            tags = draw(st.lists(st.sampled_from(values), min_size=m,
+                                 max_size=m))
+            return n, r, k, tuple(tags)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            n, r, k, tags = case
+            if (n, r, k) not in tables:
+                tables[n, r, k] = canceling._path_table(n, r, k, max_n=None)
+            assert self.table_verdict(tables[n, r, k], tags, r) == \
+                self.verdict(complete_graph(n), tags, r, k), case
+
+        check()
 
 
 class TestNecessaryConditions:

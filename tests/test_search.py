@@ -7,13 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import naive
 import signedwiener
-from signedwiener import search
+from signedwiener import canceling, distances, search
 from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
     INFINITE,
@@ -191,6 +192,57 @@ class TestThresholdScan:
         rows = threshold_scan(3, 2, range(6, 7))
         assert rows[0].holds and rows[0].examined == 1
         assert rows[0].witness == complete_rk_coloring(6, 3, 2).coloring
+
+    def test_r3_k2_row_at_5_is_negative(self):
+        # no probe fits K_5, so the row sweeps all S(10, 3) = 9330
+        # surjective growth colorings
+        (row,) = threshold_scan(3, 2, [5])
+        assert (row.n, row.holds, row.examined, row.witness) == \
+            (5, False, 9330, None)
+
+    def test_size_guard_fires_before_the_path_table(self, monkeypatch):
+        def listed(*args):
+            raise AssertionError("a refused row listed paths")
+
+        monkeypatch.setattr(canceling, "permutations", listed)
+        with pytest.warns(GuardOverride, match="216 candidate bits"), \
+                pytest.raises(SizeGuardError) as refused:
+            threshold_scan(3, 1, [17], max_bits=1000)
+        assert refused.value.option == "max_n"
+        assert "n=17" in refused.value.reason
+
+    def test_loosened_size_guard_warns_once_per_row(self, monkeypatch):
+        # with the colored default lowered to 3, a loosened max_n admits
+        # K_4 and K_5; r = 3, k = 1 has no probe, so each row's one
+        # guard check is its table's
+        monkeypatch.setattr(distances, "DEFAULT_MAX_N_COLORED", 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = threshold_scan(3, 1, [3, 4, 5], max_n=5)
+        assert [(r.n, r.holds) for r in rows] == \
+            [(3, False), (4, True), (5, True)]
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, GuardOverride)]
+        assert messages == [
+            f"guard override in effect: canceling-path search on n={n} "
+            f"exceeds the default guard 3; this may take a long time"
+            for n in (4, 5)]
+        with pytest.raises(SizeGuardError):
+            threshold_scan(3, 1, [4])
+
+    def test_size_guard_counts_the_vertices_left_after_deletion(
+            self, monkeypatch):
+        # at k = 2 every path runs on K_5 minus one vertex, so a colored
+        # default of 4 admits the (3,2,[5]) row without a warning, as the
+        # verdicts would, and 3 refuses it
+        monkeypatch.setattr(distances, "DEFAULT_MAX_N_COLORED", 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = threshold_scan(3, 2, [5])
+        assert (row.holds, row.examined) == (False, 9330)
+        monkeypatch.setattr(distances, "DEFAULT_MAX_N_COLORED", 3)
+        with pytest.raises(SizeGuardError, match="n=4 exceeds"):
+            threshold_scan(3, 2, [5])
 
     def test_workers_match_serial(self):
         serial = threshold_scan(2, 1, range(2, 6))

@@ -5,20 +5,24 @@ Run from the repository root:
 
     python3 tools/bench.py --pr N --parent HEAD --seeds 4101 4102 4103
 
-The parent ref is checked out into a temporary git worktree, removed
-again at the end; the change is the working tree.  Every workload of
+The parent ref is exported with git archive into a temporary
+directory, removed again at the end; the change is the working tree.  Every workload of
 BENCHMARK.json runs one pair per seed: each tree's own, unchanged
 perfbench/run.py once, for the benchmark's run_seconds.  The side that
 runs first alternates from seed to seed, so a slow stretch of the host
 falls on both sides alike.  The output keeps every run (its end-to-end
-metrics, pass count and code fingerprint) and, per workload and metric,
-both sides' median and quartiles and how many pairs the change won.
+metrics, pass count and code fingerprint) and, per workload, each
+side's median pass count and, per metric, both sides' median and
+quartiles and how many pairs the change won.  The pass counts matter
+for peak_rss_mb, which the benchmark's kept answers raise with every
+pass.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,25 +58,27 @@ def _spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: each side's median and quartiles, the
-    median's relative change, and the pairs the change won, lost or
-    tied.  runs carry workload, seed, side and metrics; metrics are
-    BENCHMARK.json's end_to_end entries (name, better)."""
+    """Per workload: each side's median pass count and, per metric,
+    each side's median and quartiles, the median's relative change, and
+    the pairs the change won, lost or tied.  runs carry workload, seed,
+    side, passes and metrics; metrics are BENCHMARK.json's end_to_end
+    entries (name, better)."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
         for run in runs:
             if run["workload"] == workload:
-                pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
+                pairs.setdefault(run["seed"], {})[run["side"]] = run
         pairs = [p for p in pairs.values() if len(p) == 2]
         table = {}
         for spec in metrics:
             name, lower = spec["name"], spec["better"] == "lower"
-            sides = {side: _spread([p[side][name] for p in pairs])
+            sides = {side: _spread([p[side]["metrics"][name] for p in pairs])
                      for side in SIDES}
             won = lost = 0
             for p in pairs:
-                gain = p["parent"][name] - p["change"][name]
+                gain = p["parent"]["metrics"][name] - \
+                    p["change"]["metrics"][name]
                 gain = gain if lower else -gain
                 won += gain > 0
                 lost += gain < 0
@@ -82,7 +88,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_pct": (100 * (sides["change"]["median"] - base)
                                / base if base else None),
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost}
-        out[workload] = {"pairs": len(pairs), "metrics": table}
+        passes = {side: statistics.median(p[side]["passes"] for p in pairs)
+                  for side in SIDES}
+        out[workload] = {"pairs": len(pairs), "passes": passes,
+                         "metrics": table}
     return out
 
 
@@ -115,9 +124,12 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     parent = _git("rev-parse", args.parent)
     base = Path(tempfile.mkdtemp(prefix="bench-"))
-    trees = {"parent": base / "parent", "change": ROOT}
-    _git("worktree", "add", "--detach", str(trees["parent"]), parent)
+    trees = {"parent": base, "change": ROOT}
     try:
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive,
+                       check=True)
         runs = []
         for workload in (w["name"] for w in spec["workloads"]):
             for turn, seed in enumerate(args.seeds):
@@ -129,8 +141,7 @@ def main(argv=None) -> int:
                     runs.append({"workload": workload, "seed": seed,
                                  "side": side, "first": order[0], **run})
     finally:
-        _git("worktree", "remove", "--force", str(trees["parent"]))
-        base.rmdir()
+        shutil.rmtree(base)
     report = {"parent": parent,
               "change": "working tree at " + _git("rev-parse", "HEAD"),
               "seconds": seconds, "seeds": args.seeds,
