@@ -25,6 +25,7 @@ from .distances import (
 )
 from .graphs import (
     Graph,
+    _deletion_size,
     complete_graph,
     delete_vertices,
     is_k_connected,
@@ -43,12 +44,6 @@ class CancelingVerdict:
 
     holds: bool
     certificate: tuple[tuple[int, ...], int, int] | None = None
-
-
-def _deletion_size(n: int, k: int) -> int:
-    """s = min(k-1, n-2), the one deletion size checked (0 when
-    n < 2); see is_rk_canceling_coloring."""
-    return max(min(k - 1, n - 2), 0)
 
 
 def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
@@ -131,29 +126,27 @@ def is_k_canceling_signing(g: Graph, signing, k: int, *,
                            max_n: int | None = None) -> CancelingVerdict:
     """Decide whether a signing is k-canceling.
 
-    Checks only deletion sets of size exactly k-1, which decides the
-    definition's "every set smaller than k" by the lemma stated at
-    is_rk_canceling_coloring.
+    Checks only the deletion sets of size k-1, which is min(k-1, n-2)
+    here since n >= k+1; see is_rk_canceling_coloring.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n <= k:
         raise ValueError(
             f"k-canceling check needs n >= k+1 (n={g.n}, k={k})")
-    return _deletion_verdict(g, as_signing(signing).as_coloring(), k - 1,
-                             max_n=max_n)
+    return _deletion_verdict(g, as_signing(signing).as_coloring(),
+                             _deletion_size(g.n, k), max_n=max_n)
 
 
 def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
                              max_n: int | None = None) -> CancelingVerdict:
     """Decide whether a coloring is (r,k)-canceling.
 
-    Let s = min(k-1, n-2).  Every pair keeps a canceling path after
-    every deletion of fewer than k vertices iff it does after every
-    deletion of exactly s vertices: a smaller set D avoiding u and v
-    extends to a set D' of size s still avoiding them, and a path in
-    G-D' is a path in G-D.  No step uses r.  With n < 2 there are no
-    pairs, so the coloring holds.
+    Checks only the deletion sets of size s = min(k-1, n-2): by the
+    deletion lemma stated at graphs.is_k_connected, every pair keeps a
+    canceling path after every deletion of fewer than k vertices iff
+    it does after every deletion of exactly s.  No step uses r.  With
+    n < 2 there are no pairs, so the coloring holds.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

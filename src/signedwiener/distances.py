@@ -163,8 +163,8 @@ def _levels(g: Graph, steps, source: int, window=None):
     A caller that prunes passes window: once it is done with level L,
     window(L) gives the bits worth extending, and each state of level L
     is masked by it once before its edges are crossed (-1 keeps every
-    bit, 0 ends the sweep).  Only the signed row passes one, for its
-    sign budget, and it ends the sweep itself at its parity floors (see
+    bit).  Only the signed row passes one, for its sign budget, and it
+    ends the sweep itself at its parity floors (see
     signed_distance_row).  Both are exact: the budget drops only
     prefixes that cannot end below the best of any target still open,
     and no path beats a parity floor.
@@ -178,8 +178,6 @@ def _levels(g: Graph, steps, source: int, window=None):
     while level:
         yield level
         bits = -1 if window is None else window(length)
-        if not bits:
-            return
         if bits != -1:
             level = {v: {mask: x & bits for mask, x in states.items()
                          if x & bits}
@@ -288,8 +286,6 @@ def _walk_back(g: Graph, steps, levels, v: int, mask: int, i: int):
 # signed distances
 
 def _min_abs_from_acc(acc: int, offset: int):
-    if acc == 0:
-        return INFINITE
     for d in range(offset + 1):
         if (acc >> (offset - d)) & 1 or (acc >> (offset + d)) & 1:
             return d
@@ -327,25 +323,28 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
 
     def window(length):
         # bit 2p of a length-L state holds the sum s = 2p - L; keep the
-        # one run of bits with -B - min(R, m+) < s < B + min(R, m-)
+        # one run of bits with -B - min(R, m+) < s < B + min(R, m-); it
+        # is never empty, as every target in todo has best > floor >= 0,
+        # so B >= 1 and hi - lo >= 2B - 2 >= 0
         bound = max(best[t] for t in todo)
         if bound == INFINITE:
             return -1
         rest = offset - length
         lo = max(length - bound - min(rest, plus) + 1, 0)
         hi = length + bound + min(rest, minus) - 1
-        return (1 << hi + 1) - (1 << lo) if hi >= lo else 0
+        return (1 << hi + 1) - (1 << lo)
 
     for length, level in enumerate(_levels(g, _signed_steps(signs), source,
                                            window)):
-        for v in level.keys() & todo:
-            sums = 0
-            for x in level[v].values():
-                sums |= x
-            best[v] = min(best[v], _min_abs_from_acc(sums << offset - length,
-                                                     offset))
-            if best[v] == floor[v]:
-                todo.discard(v)
+        for v, states in level.items():
+            if v in todo:
+                sums = 0
+                for x in states.values():
+                    sums |= x
+                best[v] = min(best[v], _min_abs_from_acc(
+                    sums << offset - length, offset))
+                if best[v] == floor[v]:
+                    todo.discard(v)
         if not todo:
             break
     return best
@@ -382,12 +381,8 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     after level ecc(source).
     """
     sigma = as_signing(signing)
-    if targets is None:
-        check_fit(g, sigma, source)
-        targets = range(g.n)
-    else:
-        targets = tuple(targets)
-        check_fit(g, sigma, source, *targets)
+    targets = range(g.n) if targets is None else tuple(targets)
+    check_fit(g, sigma, source, *targets)
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "signed distance")
     return _signed_row(g, sigma.signs, source, targets)
 
@@ -467,37 +462,30 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
     Source itself reads True (the empty path) and every vertex outside
     targets reads False.  As in signed_distance_row, targets names the
     answers the caller reads: a reversed path keeps its color counts,
-    so a caller checking unordered pairs asks row u only for v > u, and
-    the sweep ends once every target has a canceling path.
+    so a caller checking unordered pairs asks row u only for v > u.
+    As in the signed row, the targets not yet reached form todo, and
+    the sweep ends once a level of length divisible by r empties it.
     """
-    if targets is None:
-        check_fit(g, coloring, source)
-        pending = [True] * g.n
-    else:
-        targets = tuple(targets)
-        check_fit(g, coloring, source, *targets)
-        pending = [False] * g.n
-        for t in targets:
-            pending[t] = True
+    targets = range(g.n) if targets is None else tuple(targets)
+    check_fit(g, coloring, source, *targets)
     steps, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
-    pending[source] = False
-    undone = pending.count(True)
+    todo = set(targets)
+    todo.discard(source)
     for length, level in enumerate(_levels(g, steps, source)):
         if length % r:
             continue
         cancel = 1 << length // r * unit
         for v, states in level.items():
-            if pending[v]:
+            if v in todo:
                 for x in states.values():
                     if x & cancel:
                         reach[v] = True
-                        pending[v] = False
-                        undone -= 1
+                        todo.discard(v)
                         break
-        if undone == 0:
+        if not todo:
             break
     return reach
 

@@ -173,18 +173,28 @@ def is_connected(g: Graph) -> bool:
     return structural_report(g).connected
 
 
+def _deletion_size(n: int, k: int) -> int:
+    """s = min(k-1, n-2), the one deletion size checked (0 when
+    n < 2); see is_k_connected."""
+    return max(min(k - 1, n - 2), 0)
+
+
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff every deletion of fewer than k vertices leaves a
-    connected graph on at least one vertex.  Subset enumeration; fine at
-    desk scale."""
+    connected graph on at least one vertex; never when n < k, as
+    deleting every vertex leaves no graph.
+
+    The deletion lemma: with s = min(k-1, n-2), every pair keeps a
+    path after every deletion of fewer than k vertices iff it does
+    after every deletion of exactly s, since a smaller set D avoiding
+    u and v extends to a set D' of size s still avoiding them, and a
+    path in G-D' is a path in G-D.  So only size-s sets are checked."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for size in range(min(k, g.n + 1)):
-        for s in combinations(range(g.n), size):
-            sub = delete_vertices(g, s).graph
-            if sub.n == 0 or not is_connected(sub):
-                return False
-    return True
+    if g.n < k:
+        return False
+    return all(is_connected(delete_vertices(g, dead).graph)
+               for dead in combinations(range(g.n), _deletion_size(g.n, k)))
 
 
 def union_at_vertex(g1: Graph, g2: Graph, w1: int, w2: int) -> Graph:

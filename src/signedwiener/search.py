@@ -461,16 +461,16 @@ class DoubleStarReport:
 
 
 def verify_double_star(n: int, *, workers: int = 1) -> DoubleStarReport:
-    """Read the W_* of the path, every double star and the star from
-    the records of enumerate_trees (scanned in `workers` processes) by
-    canonical form; counterexamples are the first failing records."""
+    """Compare the records of enumerate_trees (scanned in `workers`
+    processes) with the W_* of the path, every double star and the
+    star, each read from its own _tree_record (W_* does not change
+    under relabeling); counterexamples are the first failing records."""
     if not 2 <= n <= TREE_MAX_N:
         raise ValueError(f"double-star scan supports 2 <= n <= {TREE_MAX_N}")
     records = enumerate_trees(n, workers=workers)
-    w_star = {tree_canonical_form(r.tree): r.min_wiener for r in records}
 
     def value(tree: Graph) -> int:
-        return w_star[tree_canonical_form(tree)]
+        return _tree_record(tree).min_wiener
 
     path_value = value(path_graph(n))
     best_ab, best_val = (0, n - 2), None

@@ -17,10 +17,11 @@ METRICS = [{"name": "job_p90_s", "better": "lower"},
            {"name": "work_per_s", "better": "higher"}]
 
 
-def report(p90: float, rate: float, passes: int = 7) -> str:
+def report(p90: float, rate: float, passes: int = 7, correct: bool = True,
+           failed: int = 0) -> str:
     """A run.py report as it prints one: fingerprint first, the pass
     line among the rest, the JSON result last."""
-    result = {"correct": True, "attempted": 20, "failed": 0,
+    result = {"correct": correct, "attempted": 20, "failed": failed,
               "metrics": {"job_p90_s": {"value": p90, "unit": "s"},
                           "work_per_s": {"value": rate, "unit": "1/s"}}}
     return "\n".join([
@@ -95,3 +96,40 @@ def test_summary_reports_each_sides_median_passes():
     summary = bench.summarize(runs, METRICS)["exhaustive-search"]
     assert summary["pairs"] == 4
     assert summary["passes"] == {"parent": 9, "change": 12.5}
+
+
+def test_summary_counts_incorrect_runs_and_failed_share():
+    # run.py exits 0 on wrong answers, so the summary must show them;
+    # an unpaired run still counts for its side
+    runs = []
+    for i, (correct, failed) in enumerate([(True, 0), (False, 2),
+                                           (True, 1)]):
+        for side in bench.SIDES:
+            wrong = side == "change" and not correct
+            runs.append({"workload": "certify", "seed": i, "side": side,
+                         **bench.parse_run(report(
+                             1.0, 1.0, correct=not wrong,
+                             failed=failed if side == "change" else 0))})
+    runs.append({**runs[0], "seed": 999, "correct": False, "failed": 5})
+    summary = bench.summarize(runs, METRICS)["certify"]
+    assert summary["incorrect"] == {"parent": 1, "change": 1}
+    assert summary["failed_share"] == {"parent": 5 / 80, "change": 3 / 60}
+
+
+def test_incorrect_run_fails_the_tool_after_writing(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "certify"}],
+        "end_to_end": METRICS}))
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench, "_export", lambda ref, into: None)
+    for wrong, code in ((False, 0), (True, 1)):
+        # the change runs in ROOT, the parent in the exported tree
+        monkeypatch.setattr(bench, "_run", lambda tree, *args: (
+            bench.parse_run(report(1.0, 1.0, correct=not (
+                wrong and tree == tmp_path)))))
+        assert bench.main(["--pr", "0", "--parent", "HEAD",
+                           "--seeds", "1", "2"]) == code
+        written = json.loads((tmp_path / "BENCH_0.json").read_text())
+        assert written["summary"]["certify"]["incorrect"] == {
+            "parent": 0, "change": 2 * wrong}

@@ -434,6 +434,38 @@ class TestConstruct:
         assert code == 0
         assert "w-zero" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("bipartite-cliques", "family:complete-bipartite:3,3", "1"),
+        ("blowup", "1", "1", "2", "2", "2"),
+        ("special", "theta4"),
+        ("square-cycle", "8"),
+    ])
+    def test_construction_certifies(self, capsys, argv):
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert code == 0 and err == ""
+        assert certify(parse_witness(out)).ok
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("construct", "special"), "special takes one fixture tag"),
+        (("construct", "special", "theta4", "c7sq"),
+         "special takes one fixture tag"),
+        (("construct", "subdivide", "theta4", "0"),
+         "subdivide takes SOURCE EDGE I"),
+        (("construct", "union", "theta4", "theta4", "4"),
+         "union takes SOURCE SOURCE V1 V2"),
+        (("construct", "bipartite-cliques", "family:complete-bipartite:3,3"),
+         "bipartite-cliques takes SOURCE K"),
+        (("construct", "blowup", "1", "1"), "blowup takes T K SIZE..."),
+        (("construct", "subdivide", "theta4", "designated", "1"),
+         "special-theta4 has no designated edge"),
+        (("check-colored", "fixture:theta4", "--r", "2", "--k", "1"),
+         "input special-theta4 carries no edge colors"),
+    ])
+    def test_refusal_is_one_line(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {reason}\n"
+
     def test_bad_parameter_count(self, capsys):
         code, _, err = run_cli(capsys, "construct", "square-path")
         assert code == 2

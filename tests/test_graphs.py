@@ -1,6 +1,7 @@
 """Representation, parsing, families, and structural predicates."""
 
 import math
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -217,6 +218,37 @@ class TestConnectivity:
     def test_k1_matches_connected(self):
         for g in (path_graph(4), Graph(3, [(0, 1)]), complete_graph(1)):
             assert is_k_connected(g, 1) == is_connected(g)
+
+    @staticmethod
+    def every_size_connected(g: Graph, k: int) -> bool:
+        """The definition read literally: every deletion of 0..k-1
+        vertices leaves a nonempty connected graph."""
+        for size in range(k):
+            for dead in combinations(range(g.n), size):
+                alive = set(range(g.n)) - set(dead)
+                if not alive:
+                    return False
+                seen, stack = set(), [min(alive)]
+                while stack:
+                    v = stack.pop()
+                    if v not in seen:
+                        seen.add(v)
+                        stack += [w for w in g.neighbors(v) if w in alive]
+                if seen != alive:
+                    return False
+        return True
+
+    def test_one_deletion_size_matches_every_size(self):
+        # is_k_connected checks only the sets of size min(k-1, n-2) by
+        # the deletion lemma; the literal definition checks all sizes
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs)
+                              if bits >> i & 1])
+                for k in range(1, n + 2):
+                    assert is_k_connected(g, k) == \
+                        self.every_size_connected(g, k), (g.edges, k)
 
 
 class TestUnion:

@@ -6,8 +6,10 @@ collapse, spanning-extension and exact-size-shortcut consistency, and
 engine-vs-naive oracle equivalence up to eight vertices (with
 hypothesis installed, also the tree shortcut on random signed trees,
 the signed and canceling rows on random colored graphs, rows asked
-for random target sets, and the signed engine's early stops on
-constant, nearly constant, bipartite and disconnected inputs).
+for random target sets, the signed engine's early stops on
+constant, nearly constant, bipartite and disconnected inputs, and
+the sign budget's window, never empty on random, bipartite or
+constant signings).
 """
 
 import math
@@ -17,6 +19,7 @@ from itertools import combinations
 import pytest
 
 import naive
+from signedwiener import distances
 from signedwiener.canceling import is_k_canceling_signing
 from signedwiener.distances import (
     EdgeColoring,
@@ -318,7 +321,7 @@ class TestOracleEquivalence:
                                   max_size=g.m))
             colors = draw(st.lists(st.integers(1, 3), min_size=g.m,
                                    max_size=g.m))
-            targets = draw(st.lists(st.integers(0, n - 1), unique=True))
+            targets = draw(st.lists(st.integers(0, n - 1)))
             return g, tuple(signs), EdgeColoring(3, tuple(colors)), targets
 
         @hypothesis.settings(max_examples=100, deadline=None, database=None)
@@ -397,6 +400,54 @@ class TestOracleEquivalence:
                 assert w == wiener_classical(g)
             if structural_report(g).bipartite:
                 assert w >= bipartite_lower_bound(g)
+
+        check()
+
+    def test_sign_budget_window_is_never_empty(self, monkeypatch):
+        # the signed row's window is -1 or one nonempty run of bits: a
+        # target still open has best > floor >= 0, so its budget B >= 1,
+        # which is why _levels has no exit for an empty window
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        windows = []
+        sweep = distances._levels
+
+        def watched(g, steps, source, window=None):
+            def recorded(length):
+                windows.append(window(length))
+                return windows[-1]
+            return sweep(g, steps, source,
+                         None if window is None else recorded)
+
+        monkeypatch.setattr(distances, "_levels", watched)
+
+        @st.composite
+        def signed(draw):
+            n = draw(st.integers(1, 8))
+            pairs = list(combinations(range(n), 2))
+            if draw(st.booleans()):
+                side = draw(st.lists(st.booleans(), min_size=n,
+                                     max_size=n))
+                pairs = [(a, b) for a, b in pairs if side[a] != side[b]]
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                                 max_size=len(pairs)))
+            g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+            if draw(st.booleans()):
+                return g, (draw(st.sampled_from((1, -1))),) * g.m
+            return g, tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                          min_size=g.m, max_size=g.m)))
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(signed())
+        def check(case):
+            g, signs = case
+            windows.clear()
+            wiener_signed(g, signs)
+            for u in range(g.n):
+                signed_distance_row(g, signs, u)
+            for bits in windows:
+                low = bits & -bits
+                assert bits == -1 or bits > 0 and (bits + low) & bits == 0
 
         check()
 

@@ -15,7 +15,10 @@ metrics, pass count and code fingerprint) and, per workload, each
 side's median pass count and, per metric, both sides' median and
 quartiles and how many pairs the change won.  The pass counts matter
 for peak_rss_mb, which the benchmark's kept answers raise with every
-pass.
+pass.  Per workload and side it also counts the runs whose answer
+checks failed and the share of failed operations; run.py exits 0 even
+on wrong answers, so this tool exits 1, after writing the file, when
+any run was incorrect.
 """
 
 from __future__ import annotations
@@ -58,13 +61,17 @@ def _spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload: each side's median pass count and, per metric,
-    each side's median and quartiles, the median's relative change, and
-    the pairs the change won, lost or tied.  runs carry workload, seed,
-    side, passes and metrics; metrics are BENCHMARK.json's end_to_end
-    entries (name, better)."""
+    """Per workload: each side's median pass count, its incorrect runs
+    and failed share (failed over attempted operations, over every run
+    of that side, paired or not) and, per metric, each side's median
+    and quartiles, the median's relative change, and the pairs the
+    change won, lost or tied.  runs carry workload, seed, side, passes,
+    correct, attempted, failed and metrics; metrics are BENCHMARK.json's
+    end_to_end entries (name, better)."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
+        sided = {side: [run for run in runs if run["workload"] == workload
+                        and run["side"] == side] for side in SIDES}
         pairs: dict[int, dict] = {}
         for run in runs:
             if run["workload"] == workload:
@@ -90,14 +97,28 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost}
         passes = {side: statistics.median(p[side]["passes"] for p in pairs)
                   for side in SIDES}
+        incorrect, failed_share = {}, {}
+        for side, own in sided.items():
+            incorrect[side] = sum(not run["correct"] for run in own)
+            attempted = sum(run["attempted"] for run in own)
+            failed_share[side] = (sum(run["failed"] for run in own)
+                                  / attempted if attempted else None)
         out[workload] = {"pairs": len(pairs), "passes": passes,
-                         "metrics": table}
+                         "incorrect": incorrect,
+                         "failed_share": failed_share, "metrics": table}
     return out
 
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def _export(ref: str, into: Path) -> None:
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive,
+                   check=True)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,10 +147,7 @@ def main(argv=None) -> int:
     base = Path(tempfile.mkdtemp(prefix="bench-"))
     trees = {"parent": base, "change": ROOT}
     try:
-        archive = subprocess.run(["git", "archive", parent], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive,
-                       check=True)
+        _export(parent, base)
         runs = []
         for workload in (w["name"] for w in spec["workloads"]):
             for turn, seed in enumerate(args.seeds):
@@ -150,6 +168,11 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    wrong = [f"{run['workload']} seed {run['seed']} {run['side']}"
+             for run in runs if not run["correct"]]
+    if wrong:
+        print("incorrect answers: " + ", ".join(wrong), file=sys.stderr)
+        return 1
     return 0
 
 
