@@ -9,8 +9,11 @@ sums to 2p - L; signed distances and r = 2 canceling queries use it.
 In the count table, used for every other r, bit i marks the per-color
 edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
-prefixes that do are dropped.  Signed distance sweeps stop at proven
-floors, a parity floor and a sign budget (see signed_distance_row).
+prefixes that do are dropped.  A signed distance row seeds each target
+from its paths of at most two edges, read off the neighbour bitsets,
+and its sweep stops at proven floors, a parity floor and a sign budget
+(see signed_distance_row); the rows over one signing share one setup
+(adjacency, neighbour bitsets, component sides), built once.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -21,11 +24,13 @@ admit.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, bfs_distances, component_sides
 
 INFINITE = math.inf
 
@@ -154,25 +159,31 @@ class PathWitness:
 # ---------------------------------------------------------------------------
 # the path engine: one level DP over step tables, one back-walk
 
-def _levels(g: Graph, steps, source: int, window=None):
-    """Yield, per path length L, {end: {mask: bitset}} over the simple
-    paths from source with L edges, holding only ends that have states.
-
-    Crossing edge e maps a bitset x to (x & keep) << shift, with
-    steps[e] = (keep, shift); states whose bitset empties are dropped.
-    A caller that prunes passes window: once it is done with level L,
-    window(L) gives the bits worth extending, and each state of level L
-    is masked by it once before its edges are crossed (-1 keeps every
-    bit).  Only the signed row passes one, for its sign budget, and it
-    ends the sweep itself at its parity floors (see
-    signed_distance_row).  Both are exact: the budget drops only
-    prefixes that cannot end below the best of any target still open,
-    and no path beats a parity floor.
-    """
+def _adjacency(g: Graph, steps) -> list:
+    """Per vertex v, one (w, 1 << w, keep, shift) per edge vw, where
+    steps[e] = (keep, shift) is edge e's step."""
     adj = [[] for _ in range(g.n)]
     for (a, w), (keep, shift) in zip(g.edges, steps):
         adj[a].append((w, 1 << w, keep, shift))
         adj[w].append((a, 1 << a, keep, shift))
+    return adj
+
+
+def _levels(adj, source: int, window=None):
+    """Yield, per path length L, {end: {mask: bitset}} over the simple
+    paths from source with L edges, holding only ends that have states.
+
+    adj is _adjacency's: crossing an edge with step (keep, shift) maps
+    a bitset x to (x & keep) << shift; states whose bitset empties are
+    dropped.  A caller that prunes passes window: once it is done with
+    level L, window(L) gives the bits worth extending, and each state
+    of level L is masked by it once before its edges are crossed (-1
+    keeps every bit).  Only the signed row passes one, for its sign
+    budget, and it ends the sweep itself at its parity floors (see
+    signed_distance_row).  Both are exact: the budget drops only
+    prefixes that cannot end below the best of any target still open,
+    and no path beats a parity floor.
+    """
     level = {source: {1 << source: 1}}
     length = 0
     while level:
@@ -253,7 +264,7 @@ def _first_path(g: Graph, steps, u: int, v: int, wanted):
     vertex-set bitmask, then as _walk_back picks.
     """
     levels = []
-    for length, level in enumerate(_levels(g, steps, u)):
+    for length, level in enumerate(_levels(_adjacency(g, steps), u)):
         levels.append(level)
         states = level.get(v, {})
         for i in wanted(length):
@@ -292,34 +303,66 @@ def _min_abs_from_acc(acc: int, offset: int):
     raise AssertionError("nonzero bitset with no set bit")
 
 
-def _parity_floors(g: Graph, source: int) -> list:
-    """Per vertex, the least |sign sum| that parity allows a path from
-    source: 1 across a bipartite component (every path between its two
-    sides has odd length, hence an odd sum), 0 elsewhere in it, and
-    INFINITE outside it.  The component has an odd cycle exactly when
-    an edge joins two vertices of one BFS layer."""
-    hops = bfs_distances(g, source)
-    bipartite = all(hops[a] != hops[b] for a, b in g.edges
-                    if hops[a] != INFINITE)
-    return [h if h == INFINITE else h % 2 if bipartite else 0
-            for h in hops]
+class _SignedSetup(NamedTuple):
+    """What every signed row over one (graph, signing) shares."""
+
+    adj: list     # _adjacency over the signed steps
+    plus: list    # per vertex, the bitset of its neighbours over + edges
+    minus: list   # the same over - edges
+    root: list    # root, side and odd: component_sides
+    side: list
+    odd: set
+    m_plus: int   # the edge count of each sign
+    m_minus: int
+
+
+@functools.lru_cache(maxsize=1)
+def _signed_setup(g: Graph, signs: tuple) -> _SignedSetup:
+    """The signed rows' setup, built once per signing: one entry, keyed
+    by value, so wiener_signed's rows and a pair query after them share
+    it, and the next signing or graph replaces it."""
+    plus = [0] * g.n
+    minus = [0] * g.n
+    for (a, b), s in zip(g.edges, signs):
+        nbrs = plus if s == 1 else minus
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    m_plus = signs.count(1)
+    return _SignedSetup(_adjacency(g, _signed_steps(signs)), plus, minus,
+                        *component_sides(g), m_plus, len(signs) - m_plus)
 
 
 def _signed_row(g: Graph, signs, source: int, targets) -> list:
     """Least |sign sum| from source to each vertex of targets, indexed
     by vertex (0 at source; INFINITE at vertices outside targets and
-    at unreachable ones), by the sweep and the two stopping rules
-    signed_distance_row states; B is the largest best over the targets
-    not yet finished.
+    at unreachable ones), by the seeds, the sweep and the two stopping
+    rules signed_distance_row states; B is the largest best over the
+    targets not yet finished.
     """
+    adj, plus, minus, root, side, odd, m_plus, m_minus = \
+        _signed_setup(g, tuple(signs))
     n = g.n
     offset = n - 1
-    floor = _parity_floors(g, source)
+    home = root[source]
+    floor = [INFINITE if r != home else 0 if home in odd
+             else s ^ side[source] for r, s in zip(root, side)]
     best = [INFINITE] * n
     best[source] = 0
-    todo = {t for t in targets if best[t] != floor[t]}
-    plus = signs.count(1)
-    minus = len(signs) - plus
+    todo = set()
+    up, down = plus[source], minus[source]
+    near = up | down
+    for t in targets:
+        if t != source:
+            if up & minus[t] or down & plus[t]:
+                best[t] = 0
+            elif near >> t & 1:
+                best[t] = 1
+            elif near & (plus[t] | minus[t]):
+                best[t] = 2
+            if best[t] != floor[t]:
+                todo.add(t)
+    if not todo:
+        return best
 
     def window(length):
         # bit 2p of a length-L state holds the sum s = 2p - L; keep the
@@ -330,12 +373,11 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
         if bound == INFINITE:
             return -1
         rest = offset - length
-        lo = max(length - bound - min(rest, plus) + 1, 0)
-        hi = length + bound + min(rest, minus) - 1
+        lo = max(length - bound - min(rest, m_plus) + 1, 0)
+        hi = length + bound + min(rest, m_minus) - 1
         return (1 << hi + 1) - (1 << lo)
 
-    for length, level in enumerate(_levels(g, _signed_steps(signs), source,
-                                           window)):
+    for length, level in enumerate(_levels(adj, source, window)):
         for v, states in level.items():
             if v in todo:
                 sums = 0
@@ -359,26 +401,38 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     targets and every vertex outside targets, and source reads 0.
     targets names the answers the caller reads, not a tuning knob: a
     path reversed keeps its sum, so a caller summing over unordered
-    pairs asks row u only for the targets v > u.  One DP sweep serves
-    all targets and stops at proven floors by two exact rules:
+    pairs asks row u only for the targets v > u.  Each target's best
+    starts at a seed, one DP sweep serves the targets left open, and
+    it stops at proven floors by two exact rules:
 
+    - Seed.  Before the sweep, each target t takes the least |sum| of
+      its paths of at most two edges: 0 if a common neighbour w has
+      sign(uw) != sign(wt), else 1 if t is adjacent, else 2 if a
+      common neighbour exists.  Each seed is a real simple path's
+      |sum|, so it bounds t's distance from above and the rules below
+      hold unchanged; a target whose seed meets its floor is finished,
+      and a row with no target left open runs no sweep.
     - Parity floor.  Every path between the two sides of a bipartite
       component has odd length, hence an odd sum, so |sum| >= 1 there;
       elsewhere the floor is 0.  No path can beat a floor, so a target
       whose best meets it is finished, and the row ends once every
       target is finished (targets outside source's component are
       finished at INFINITE).
-    - Sign budget.  Once every unfinished target has been reached, let
-      B be their largest best.  A length-L prefix with sum s has at
-      most R = n-1-L edges left, at most min(R, m+) positive and
-      min(R, m-) negative (m+ and m- count the graph's edges of each
-      sign), so every completion ends in [s - min(R, m-),
-      s + min(R, m+)].  A prefix whose whole range lies at |sum| >= B
-      can improve no unfinished target, so it is not extended.
+    - Sign budget.  Once every unfinished target has a best, by a seed
+      or the sweep, let B be their largest best.  A length-L prefix
+      with sum s has at most R = n-1-L edges left, at most min(R, m+)
+      positive and min(R, m-) negative (m+ and m- count the graph's
+      edges of each sign), so every completion ends in
+      [s - min(R, m-), s + min(R, m+)].  A prefix whose whole range
+      lies at |sum| >= B can improve no unfinished target, so it is
+      not extended.
 
     So a bipartite row ends once each side meets its floor, and a
     constant signing, which can never bring a sum back down, stops
-    after level ecc(source).
+    after level ecc(source).  The adjacency, the neighbour bitsets and
+    the component sides are built once per (graph, signing) and shared
+    by every row over it, the rows of one wiener_signed and a pair
+    query after them alike.
     """
     sigma = as_signing(signing)
     targets = range(g.n) if targets is None else tuple(targets)
@@ -393,11 +447,12 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
     empty path; INFINITE across components.
 
     The one-target case of signed_distance_row's sweep, under the same
-    two rules: it ends once v meets its parity floor (1 when u and v lie
-    on opposite sides of a bipartite component, else 0), and it drops
-    the prefixes whose sign budget cannot end below v's best, so it may
-    stop long before the row would.  Neither rule discards a path that
-    could lower v's distance, so the value is exact.
+    rules: v's seed may settle it with no sweep; else the sweep ends
+    once v meets its parity floor (1 when u and v lie on opposite sides
+    of a bipartite component, else 0), and it drops the prefixes whose
+    sign budget cannot end below v's best, so it may stop long before
+    the row would.  Neither rule discards a path that could lower v's
+    distance, so the value is exact.
     """
     sigma = as_signing(signing)
     check_fit(g, sigma, u, v)
@@ -422,7 +477,8 @@ def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
     _check_guard(g.n, max_n, DEFAULT_MAX_N_SIGNED, "path-sum sweep")
     offset = g.n - 1
     acc = 0
-    for length, level in enumerate(_levels(g, _signed_steps(sigma.signs), u)):
+    for length, level in enumerate(
+            _levels(_adjacency(g, _signed_steps(sigma.signs)), u)):
         for x in level.get(v, {}).values():
             acc |= x << offset - length
     return {b - offset for b in range(2 * offset + 1) if (acc >> b) & 1}
@@ -474,7 +530,7 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
     reach[source] = True
     todo = set(targets)
     todo.discard(source)
-    for length, level in enumerate(_levels(g, steps, source)):
+    for length, level in enumerate(_levels(_adjacency(g, steps), source)):
         if length % r:
             continue
         cancel = 1 << length // r * unit
@@ -541,10 +597,15 @@ def wiener_signed(g: Graph, signing, *, max_n: int | None = None):
 def bipartite_lower_bound(g: Graph) -> int:
     """Sum of the parity floors over pairs u < v in one component: the
     pairs across the two sides of a bipartite component have only odd
-    paths, so each adds at least 1.  That is |U||V| summed over the
-    bipartite components; a component with an odd cycle adds 0."""
-    return sum(f for u in range(g.n)
-               for f in _parity_floors(g, u)[u + 1:] if f != INFINITE)
+    paths, so each adds at least 1.  That is |A||B| summed over the
+    bipartite components of component_sides; a component with an odd
+    cycle adds 0."""
+    root, side, odd = component_sides(g)
+    sizes = {}
+    for r, s in zip(root, side):
+        if r not in odd:
+            sizes.setdefault(r, [0, 0])[s] += 1
+    return sum(a * b for a, b in sizes.values())
 
 
 def leaf_lower_bound(g: Graph) -> int:

@@ -132,6 +132,22 @@ def bfs_distances(g: Graph, source: int) -> list[int | float]:
     return dist
 
 
+def component_sides(g: Graph) -> tuple[list[int], list[int], set[int]]:
+    """Per vertex, the least vertex of its component (its root) and its
+    side, the parity of its BFS layer from that root; and the roots of
+    the components with an odd cycle, those with an edge inside one
+    side.  One bfs_distances sweep per component."""
+    root = [-1] * g.n
+    side = [0] * g.n
+    for s in range(g.n):
+        if root[s] == -1:
+            for v, hops in enumerate(bfs_distances(g, s)):
+                if hops is not math.inf:
+                    root[v] = s
+                    side[v] = hops % 2
+    return root, side, {root[a] for a, b in g.edges if side[a] == side[b]}
+
+
 @dataclass(frozen=True)
 class StructuralReport:
     connected: bool
@@ -141,29 +157,17 @@ class StructuralReport:
 
 
 def structural_report(g: Graph) -> StructuralReport:
-    """Connectivity, bipartiteness with the parts, and minimum degree.
-
-    One bfs_distances sweep per component, from its least vertex: the
-    parity of a vertex's BFS layer names its side, so each component's
-    least vertex lies in parts[0].  The graph is bipartite iff every
-    edge joins two sides.
+    """Connectivity, bipartiteness with the parts, and minimum degree,
+    from component_sides: each component's least vertex lies in
+    parts[0], and the graph is bipartite iff no component has an odd
+    cycle.
     """
-    side = [-1] * g.n
-    components = 0
-    for s in range(g.n):
-        if side[s] == -1:
-            components += 1
-            for v, hops in enumerate(bfs_distances(g, s)):
-                if hops is not math.inf:
-                    side[v] = hops % 2
-    bipartite = all(side[a] != side[b] for a, b in g.edges)
-    parts = None
-    if bipartite:
-        parts = tuple(tuple(v for v in range(g.n) if side[v] == p)
-                      for p in (0, 1))
+    root, side, odd = component_sides(g)
+    parts = None if odd else tuple(
+        tuple(v for v in range(g.n) if side[v] == p) for p in (0, 1))
     return StructuralReport(
-        connected=components <= 1,
-        bipartite=bipartite,
+        connected=len(set(root)) <= 1,
+        bipartite=not odd,
         parts=parts,
         min_degree=min(map(g.degree, range(g.n)), default=0),
     )

@@ -2,6 +2,10 @@
 input sources, and the structured-output round trip."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,17 @@ def k6_rk_witness(tmp_path, capsys):
 
 
 class TestExitCodes:
+    def test_module_entry_point(self):
+        # an uninstalled checkout reaches the CLI as python -m signedwiener
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "signedwiener", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout
+
     def test_check_holds(self, capsys, k5_witness):
         code, out, _ = run_cli(capsys, "check", "--k", "2", k5_witness)
         assert code == 0

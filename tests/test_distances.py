@@ -425,7 +425,9 @@ class TestGuards:
 
 
 class TestEarlyStop:
-    """Work, not time: how many levels a row's DP sweep yields."""
+    """Work, not time: how many levels a row's DP sweep yields (before
+    the rows were seeded from their paths of at most two edges, the
+    K_{3,3} rows below swept 3 levels each)."""
 
     @staticmethod
     def levels_per_row(monkeypatch, g, signs):
@@ -456,11 +458,12 @@ class TestEarlyStop:
 
     def test_bipartite_rows_stop_at_parity_floors(self, monkeypatch):
         # on this K_{3,3} signing every target meets its parity floor
-        # (0 on its own side, 1 across) by length 2, so each row ends
-        # after level 2; with a floor of 0 everywhere it yields 6
+        # (0 on its own side, 1 across) by a path of at most two edges,
+        # so its seed finishes it and no row sweeps; with a floor of 0
+        # everywhere each row would sweep 6 levels
         g = complete_bipartite_graph(3, 3)
         signs = (1, -1, -1, 1, 1, -1, -1, 1, 1)
-        assert self.levels_per_row(monkeypatch, g, signs) == [3] * g.n
+        assert self.levels_per_row(monkeypatch, g, signs) == []
         for s in range(g.n):
             assert signed_distance_row(g, signs, s) == [
                 naive.signed_distance(g.n, g.edges, signs, s, v)
@@ -471,7 +474,10 @@ class TestPairRows:
     """Work, not time: sweeps and DP states when each row is asked only
     for the targets v > u of its source u (before that change, in
     order: 105 sweeps and 2,233 states; 56 sweeps; 3,006, 2,034 and
-    4,149 states)."""
+    4,149 states).  Seeding each target from its paths of at most two
+    edges then took the Wiener rows below from 9, 9 and 9 sweeps to
+    2, 6 and 8, and from 2,250, 1,414 and 2,643 states to 1,676, 1,356
+    and 2,626."""
 
     @staticmethod
     def count(monkeypatch, query):
@@ -506,13 +512,13 @@ class TestPairRows:
     def alternating(g):
         return g, tuple(1 if i % 2 == 0 else -1 for i in range(g.m))
 
-    @pytest.mark.parametrize("case, value, states", [
-        ("alternating K_10", 0, 2250),
-        ("alternating K_5,5", 25, 1414),
-        ("square_cycle_signing(10)", 0, 2643),
+    @pytest.mark.parametrize("case, value, sweeps, states", [
+        ("alternating K_10", 0, 2, 1676),
+        ("alternating K_5,5", 25, 6, 1356),
+        ("square_cycle_signing(10)", 0, 8, 2626),
     ])
     def test_wiener_rows_sweep_only_later_targets(self, monkeypatch, case,
-                                                  value, states):
+                                                  value, sweeps, states):
         w = square_cycle_signing(10)
         g, signs = {
             "alternating K_10": self.alternating(complete_graph(10)),
@@ -521,7 +527,7 @@ class TestPairRows:
             "square_cycle_signing(10)": (w.graph, w.signing),
         }[case]
         assert self.count(monkeypatch, lambda: wiener_signed(g, signs)) \
-            == (value, 9, states)
+            == (value, sweeps, states)
 
 
 class TestAchievableSums:

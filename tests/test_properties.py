@@ -6,8 +6,10 @@ collapse, spanning-extension and exact-size-shortcut consistency, and
 engine-vs-naive oracle equivalence up to eight vertices (with
 hypothesis installed, also the tree shortcut on random signed trees,
 the signed and canceling rows on random colored graphs, rows asked
-for random target sets, the signed engine's early stops on
-constant, nearly constant, bipartite and disconnected inputs, and
+for random target sets, the signed engine's seeds and early stops
+on constant, nearly constant, bipartite, tree and disconnected
+inputs, with a second signing of one graph and an equal but distinct
+graph after them, and
 the sign budget's window, never empty on random, bipartite or
 constant signings).
 """
@@ -345,10 +347,14 @@ class TestOracleEquivalence:
         check()
 
     def test_stopping_rules_on_shaped_signings(self):
-        # the parity floor acts on bipartite and disconnected graphs, the
-        # sign budget on constant and nearly constant signings: on those
-        # shapes the row, the pair query, the witness's distance and W
-        # must still equal the oracle's, and the paper's identities hold
+        # the parity floor acts on bipartite, tree and disconnected
+        # graphs, the sign budget on constant and nearly constant
+        # signings, the seeds on every shape: on those shapes the row
+        # (whole or asked for some targets), the pair query, the
+        # witness's distance and W must still equal the oracle's, and
+        # the paper's identities hold.  A second signing of the same
+        # Graph and an equal but distinct Graph follow, so a setup
+        # kept from an earlier signing or graph would show
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -356,17 +362,21 @@ class TestOracleEquivalence:
         def shaped(draw):
             n = draw(st.integers(1, 8))
             pairs = list(combinations(range(n), 2))
-            shape = draw(st.sampled_from(("any", "bipartite",
+            shape = draw(st.sampled_from(("any", "bipartite", "tree",
                                           "disconnected")))
             if shape == "bipartite":
                 side = draw(st.lists(st.booleans(), min_size=n,
                                      max_size=n))
                 pairs = [(a, b) for a, b in pairs if side[a] != side[b]]
+            elif shape == "tree":
+                pairs = [(draw(st.integers(0, v - 1)), v)
+                         for v in range(1, n)]
             elif shape == "disconnected":
                 cut = draw(st.integers(1, max(1, n - 1)))
                 pairs = [(a, b) for a, b in pairs if (a < cut) == (b < cut)]
-            keep = draw(st.lists(st.booleans(), min_size=len(pairs),
-                                 max_size=len(pairs)))
+            keep = [True] * len(pairs) if shape == "tree" else \
+                draw(st.lists(st.booleans(), min_size=len(pairs),
+                              max_size=len(pairs)))
             g = Graph(n, [e for e, k in zip(pairs, keep) if k])
             sign = draw(st.sampled_from((1, -1)))
             signs = [sign] * g.m
@@ -378,22 +388,34 @@ class TestOracleEquivalence:
             elif kind == "random":
                 signs = draw(st.lists(st.sampled_from((1, -1)),
                                       min_size=g.m, max_size=g.m))
-            return g, tuple(signs)
+            targets = draw(st.lists(st.integers(0, n - 1), max_size=n))
+            other = draw(st.lists(st.sampled_from((1, -1)), min_size=g.m,
+                                  max_size=g.m))
+            return g, tuple(signs), targets, tuple(other)
 
         @hypothesis.settings(max_examples=100, deadline=None, database=None)
         @hypothesis.given(shaped())
         def check(case):
-            g, signs = case
+            g, signs, targets, other = case
             oracle = [[naive.signed_distance(g.n, g.edges, signs, u, v)
                        for v in range(g.n)] for u in range(g.n)]
             for u in range(g.n):
                 assert signed_distance_row(g, signs, u) == oracle[u]
+                assert signed_distance_row(g, signs, u, targets=targets) \
+                    == [oracle[u][v] if v in targets or v == u
+                        else math.inf for v in range(g.n)]
                 for v in range(g.n):
                     assert signed_distance(g, signs, u, v) == oracle[u][v]
                     d, _ = signed_distance_with_witness(g, signs, u, v)
                     assert d == oracle[u][v]
             w = wiener_signed(g, signs)
             assert w == naive.wiener_signed(g.n, g.edges, signs)
+            assert wiener_signed(g, other) == \
+                naive.wiener_signed(g.n, g.edges, other)
+            twin = Graph(g.n, g.edges)
+            assert wiener_signed(twin, signs) == w
+            for u in range(g.n):
+                assert signed_distance_row(twin, signs, u) == oracle[u]
             if w == math.inf:
                 return
             if len(set(signs)) < 2:
@@ -412,12 +434,11 @@ class TestOracleEquivalence:
         windows = []
         sweep = distances._levels
 
-        def watched(g, steps, source, window=None):
+        def watched(adj, source, window=None):
             def recorded(length):
                 windows.append(window(length))
                 return windows[-1]
-            return sweep(g, steps, source,
-                         None if window is None else recorded)
+            return sweep(adj, source, None if window is None else recorded)
 
         monkeypatch.setattr(distances, "_levels", watched)
 
