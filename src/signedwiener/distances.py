@@ -11,9 +11,13 @@ edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
 prefixes that do are dropped.  A signed distance row seeds each target
 from its paths of at most two edges, read off the neighbour bitsets,
-and its sweep stops at proven floors, a parity floor and a sign budget
-(see signed_distance_row); the rows over one signing share one setup
-(adjacency, neighbour bitsets, component sides), built once.
+and settles, before any sweep, each target whose parity floor a path
+of three edges (floor 1) or four edges (floor 0) attains, read off the
+same bitsets: each such path is real and simple, and no path beats a
+floor, so both steps are exact.  Its sweep stops at proven floors, a
+parity floor and a sign budget (see signed_distance_row); the rows
+over one signing share one setup (adjacency, neighbour bitsets,
+component sides), built once.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -332,6 +336,36 @@ def _signed_setup(g: Graph, signs: tuple) -> _SignedSetup:
                         *component_sides(g), m_plus, len(signs) - m_plus)
 
 
+def _floor_path(plus, minus, u: int, t: int, floor: int) -> bool:
+    """Whether a simple path from u to t has |sum| = floor (0 or 1) in
+    four or three edges, read off the neighbour bitsets: floor 1 by
+    u-a-b-t with mixed signs, floor 0 by u-a-b-c-t with
+    sign(ua) + sign(ab) = -(sign(bc) + sign(ct)) and a != c."""
+    not_u, not_t = ~(1 << u), ~(1 << t)
+    pu, mu, pt, mt = plus[u], minus[u], plus[t], minus[t]
+    if floor == 1:
+        starts, ends = (pu | mu) & not_t, (pt | mt) & not_u
+        for a in range(len(plus)):
+            if starts >> a & 1:
+                # b must not carry ua's sign on both of its edges
+                same = plus if pu >> a & 1 else minus
+                if (plus[a] | minus[a]) & ends & ~(same[a] & same[t]):
+                    return True
+        return False
+    for b in range(len(plus)):
+        if b != u and b != t:
+            pb, mb = plus[b], minus[b]
+            # the a-sides with sums +2, -2, 0 against the c-sides with
+            # sums -2, +2, 0; a != c fails only for one shared vertex
+            for a, c in ((pu & pb & not_t, mb & mt & not_u),
+                         (mu & mb & not_t, pb & pt & not_u),
+                         ((pu & mb | mu & pb) & not_t,
+                          (pb & mt | mb & pt) & not_u)):
+                if a and c and (a != c or a & a - 1):
+                    return True
+    return False
+
+
 def _signed_row(g: Graph, signs, source: int, targets) -> list:
     """Least |sign sum| from source to each vertex of targets, indexed
     by vertex (0 at source; INFINITE at vertices outside targets and
@@ -351,6 +385,8 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
     todo = set()
     up, down = plus[source], minus[source]
     near = up | down
+    # with one sign no path of three or four edges attains a floor
+    mixed = m_plus and m_minus
     for t in targets:
         if t != source:
             if up & minus[t] or down & plus[t]:
@@ -360,7 +396,10 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
             elif near & (plus[t] | minus[t]):
                 best[t] = 2
             if best[t] != floor[t]:
-                todo.add(t)
+                if mixed and _floor_path(plus, minus, source, t, floor[t]):
+                    best[t] = floor[t]
+                else:
+                    todo.add(t)
     if not todo:
         return best
 
@@ -410,8 +449,15 @@ def signed_distance_row(g: Graph, signing, source: int, *,
       sign(uw) != sign(wt), else 1 if t is adjacent, else 2 if a
       common neighbour exists.  Each seed is a real simple path's
       |sum|, so it bounds t's distance from above and the rules below
-      hold unchanged; a target whose seed meets its floor is finished,
-      and a row with no target left open runs no sweep.
+      hold unchanged; a target whose seed meets its floor is finished.
+      A target left open, on a signing with both signs, gets one more
+      test from the same bitsets, for a path that attains its floor.
+      Floor 1: a path u-a-b-t with a != t, b != u and mixed signs.
+      Floor 0: a path u-a-b-c-t with sign(ua) + sign(ab) =
+      -(sign(bc) + sign(ct)), a != t, c != u and a != c.  Such a path
+      is real and simple and no path beats a floor, so a target that
+      passes is finished at its floor; one that fails keeps its seed.
+      A row with no target left open runs no sweep.
     - Parity floor.  Every path between the two sides of a bipartite
       component has odd length, hence an odd sum, so |sum| >= 1 there;
       elsewhere the floor is 0.  No path can beat a floor, so a target
@@ -447,7 +493,8 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
     empty path; INFINITE across components.
 
     The one-target case of signed_distance_row's sweep, under the same
-    rules: v's seed may settle it with no sweep; else the sweep ends
+    rules: v's seed, or a three- or four-edge path attaining v's parity
+    floor, may settle it with no sweep; else the sweep ends
     once v meets its parity floor (1 when u and v lie on opposite sides
     of a bipartite component, else 0), and it drops the prefixes whose
     sign budget cannot end below v's best, so it may stop long before

@@ -13,8 +13,8 @@ spec = importlib.util.spec_from_file_location("bench", ROOT / "tools"
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
-METRICS = [{"name": "job_p90_s", "better": "lower"},
-           {"name": "work_per_s", "better": "higher"}]
+METRICS = [{"name": "job_p90_s", "better": "lower", "bound": 0.25},
+           {"name": "work_per_s", "better": "higher", "bound": 0.25}]
 
 
 def report(p90: float, rate: float, passes: int = 7, correct: bool = True,
@@ -133,3 +133,39 @@ def test_incorrect_run_fails_the_tool_after_writing(monkeypatch, tmp_path):
         written = json.loads((tmp_path / "BENCH_0.json").read_text())
         assert written["summary"]["certify"]["incorrect"] == {
             "parent": 0, "change": 2 * wrong}
+
+
+@pytest.mark.parametrize("parent, change, flagged", [
+    # job_p90_s lower is better, work_per_s higher; both bounds 25%
+    ((4.0, 100.0), (5.0, 75.0), (False, False)),   # worse by exactly 25%
+    ((4.0, 100.0), (5.2, 70.0), (True, True)),     # worse by 30%
+    ((4.0, 100.0), (2.0, 400.0), (False, False)),  # better, by any amount
+], ids=["at the bound", "past the bound", "better"])
+def test_summary_flags_metrics_worse_than_their_bound(parent, change,
+                                                      flagged):
+    table = bench.summarize(runs_of([(parent, change)] * 3),
+                            METRICS)["certify"]["metrics"]
+    assert (table["job_p90_s"]["over_bound"],
+            table["work_per_s"]["over_bound"]) == flagged
+    assert table["job_p90_s"]["bound"] == 0.25
+
+
+def test_over_bound_metrics_are_listed_on_stderr(monkeypatch, tmp_path,
+                                                 capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "certify"}],
+        "end_to_end": METRICS}))
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench, "_export", lambda ref, into: None)
+    # the change (run in ROOT) is 50% slower at p90, no slower in rate
+    monkeypatch.setattr(bench, "_run", lambda tree, *args: bench.parse_run(
+        report(1.5 if tree == tmp_path else 1.0, 100.0)))
+    assert bench.main(["--pr", "0", "--parent", "HEAD",
+                       "--seeds", "1", "2"]) == 0
+    err = capsys.readouterr().err
+    assert "over bound: certify job_p90_s +50.0% (bound 25%)" in err
+    assert "work_per_s" not in err
+    written = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert written["summary"]["certify"]["metrics"]["job_p90_s"][
+        "over_bound"] is True

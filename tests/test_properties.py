@@ -349,12 +349,14 @@ class TestOracleEquivalence:
     def test_stopping_rules_on_shaped_signings(self):
         # the parity floor acts on bipartite, tree and disconnected
         # graphs, the sign budget on constant and nearly constant
-        # signings, the seeds on every shape: on those shapes the row
-        # (whole or asked for some targets), the pair query, the
-        # witness's distance and W must still equal the oracle's, and
-        # the paper's identities hold.  A second signing of the same
-        # Graph and an equal but distinct Graph follow, so a setup
-        # kept from an earlier signing or graph would show
+        # signings, the seeds and the three- and four-edge floor paths
+        # on every shape, most on dense ones, and leafy ones (sparse,
+        # an odd cycle, a pendant vertex) leave rows to the sweep: on
+        # those shapes the row (whole or asked for some targets), the
+        # pair query, the witness's distance and W must still equal the
+        # oracle's, and the paper's identities hold.  A second signing
+        # of the same Graph and an equal but distinct Graph follow, so
+        # a setup kept from an earlier signing or graph would show
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -363,7 +365,7 @@ class TestOracleEquivalence:
             n = draw(st.integers(1, 8))
             pairs = list(combinations(range(n), 2))
             shape = draw(st.sampled_from(("any", "bipartite", "tree",
-                                          "disconnected")))
+                                          "disconnected", "dense", "leafy")))
             if shape == "bipartite":
                 side = draw(st.lists(st.booleans(), min_size=n,
                                      max_size=n))
@@ -374,7 +376,24 @@ class TestOracleEquivalence:
             elif shape == "disconnected":
                 cut = draw(st.integers(1, max(1, n - 1)))
                 pairs = [(a, b) for a, b in pairs if (a < cut) == (b < cut)]
-            keep = [True] * len(pairs) if shape == "tree" else \
+            elif shape == "dense" and pairs:
+                gone = draw(st.sets(st.sampled_from(pairs), max_size=3))
+                pairs = [e for e in pairs if e not in gone]
+            elif shape == "leafy":
+                # a triangle, a pendant vertex n-1 and m = 2n-1 where the
+                # core on 0..n-2 allows: the rows that still sweep
+                core = {(draw(st.integers(0, v - 1)), v)
+                        for v in range(1, n - 1)}
+                if n > 3:
+                    core |= {(0, 1), (0, 2), (1, 2)}
+                rest = draw(st.permutations(
+                    [e for e in combinations(range(n - 1), 2)
+                     if e not in core]))
+                pairs = sorted(core) + rest[:2 * n - 2 - len(core)]
+                if n > 1:
+                    pairs.append((draw(st.integers(0, n - 2)), n - 1))
+            keep = [True] * len(pairs) if shape in ("tree", "dense",
+                                                    "leafy") else \
                 draw(st.lists(st.booleans(), min_size=len(pairs),
                               max_size=len(pairs)))
             g = Graph(n, [e for e, k in zip(pairs, keep) if k])

@@ -18,7 +18,9 @@ for peak_rss_mb, which the benchmark's kept answers raise with every
 pass.  Per workload and side it also counts the runs whose answer
 checks failed and the share of failed operations; run.py exits 0 even
 on wrong answers, so this tool exits 1, after writing the file, when
-any run was incorrect.
+any run was incorrect.  A metric whose change median is worse than the
+parent median by more than its BENCHMARK.json bound (relative, in the
+metric's better direction) is marked over_bound and listed on stderr.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: each side's median pass count, its incorrect runs
     and failed share (failed over attempted operations, over every run
     of that side, paired or not) and, per metric, each side's median
-    and quartiles, the median's relative change, and the pairs the
+    and quartiles, the median's relative change, whether that change is
+    worse than the metric's bound allows (over_bound), and the pairs the
     change won, lost or tied.  runs carry workload, seed, side, passes,
     correct, attempted, failed and metrics; metrics are BENCHMARK.json's
-    end_to_end entries (name, better)."""
+    end_to_end entries (name, better, bound)."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         sided = {side: [run for run in runs if run["workload"] == workload
@@ -90,10 +93,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 won += gain > 0
                 lost += gain < 0
             base = sides["parent"]["median"]
+            change_pct = (100 * (sides["change"]["median"] - base) / base
+                          if base else None)
             table[name] = {
-                "better": spec["better"], **sides,
-                "change_pct": (100 * (sides["change"]["median"] - base)
-                               / base if base else None),
+                "better": spec["better"], "bound": spec["bound"], **sides,
+                "change_pct": change_pct,
+                "over_bound": change_pct is not None and
+                (change_pct if lower else -change_pct) > 100 * spec["bound"],
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost}
         passes = {side: statistics.median(p[side]["passes"] for p in pairs)
                   for side in SIDES}
@@ -168,6 +174,12 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    for workload, table in report["summary"].items():
+        for name, m in table["metrics"].items():
+            if m["over_bound"]:
+                print(f"over bound: {workload} {name} "
+                      f"{m['change_pct']:+.1f}% (bound "
+                      f"{100 * m['bound']:g}%)", file=sys.stderr)
     wrong = [f"{run['workload']} seed {run['seed']} {run['side']}"
              for run in runs if not run["correct"]]
     if wrong:
