@@ -9,15 +9,20 @@ sums to 2p - L; signed distances and r = 2 canceling queries use it.
 In the count table, used for every other r, bit i marks the per-color
 edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
-prefixes that do are dropped.  A signed distance row seeds each target
-from its paths of at most two edges, read off the neighbour bitsets,
-and settles, before any sweep, each target whose parity floor a path
-of three edges (floor 1) or four edges (floor 0) attains, read off the
-same bitsets: each such path is real and simple, and no path beats a
-floor, so both steps are exact.  Its sweep stops at proven floors, a
-parity floor and a sign budget (see signed_distance_row); the rows
-over one signing share one setup (adjacency, neighbour bitsets,
-component sides), built once.
+prefixes that do are dropped.  A signed distance row on a one-sign
+signing is the BFS row, as every path's |sum| is its length.  On a
+signing with both signs it seeds each target from its paths of at most
+two edges, read off the neighbour bitsets, and settles, before any
+sweep, each target whose parity floor a path of three edges (floor 1)
+or four edges (floor 0) attains, read off the same bitsets.  At level 3
+of its sweep it joins its own paths to each open target's paths of two
+or three edges, meeting at one shared end, which settles the targets
+whose floor a simple path of five or six edges attains.  Each such path
+is real and simple, and no path beats a floor, so every step is exact.
+The sweep stops at proven floors, a parity floor and a sign budget (see
+signed_distance_row); the rows over one signing share one setup
+(adjacency, neighbour bitsets, component sides, the targets' short
+paths), built once.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -29,6 +34,7 @@ admit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -260,15 +266,16 @@ def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
     return [by_color[c - 1] for c in coloring.colors], unit
 
 
-def _first_path(g: Graph, steps, u: int, v: int, wanted):
+def _first_path(g: Graph, adj, steps, u: int, v: int, wanted):
     """The vertices of the first uv-path the DP finds, or None.
 
-    wanted(L) lists the bits sought at length L, preferred first.  The
-    path is the shortest, then the first wanted bit, then the least
-    vertex-set bitmask, then as _walk_back picks.
+    adj is _adjacency(g, steps), built by the caller.  wanted(L) lists
+    the bits sought at length L, preferred first.  The path is the
+    shortest, then the first wanted bit, then the least vertex-set
+    bitmask, then as _walk_back picks.
     """
     levels = []
-    for length, level in enumerate(_levels(_adjacency(g, steps), u)):
+    for length, level in enumerate(_levels(adj, u)):
         levels.append(level)
         states = level.get(v, {})
         for i in wanted(length):
@@ -318,6 +325,7 @@ class _SignedSetup(NamedTuple):
     odd: set
     m_plus: int   # the edge count of each sign
     m_minus: int
+    halves: dict  # per target vertex, its _target_halves, built lazily
 
 
 @functools.lru_cache(maxsize=1)
@@ -333,7 +341,7 @@ def _signed_setup(g: Graph, signs: tuple) -> _SignedSetup:
         nbrs[b] |= 1 << a
     m_plus = signs.count(1)
     return _SignedSetup(_adjacency(g, _signed_steps(signs)), plus, minus,
-                        *component_sides(g), m_plus, len(signs) - m_plus)
+                        *component_sides(g), m_plus, len(signs) - m_plus, {})
 
 
 def _floor_path(plus, minus, u: int, t: int, floor: int) -> bool:
@@ -366,27 +374,81 @@ def _floor_path(plus, minus, u: int, t: int, floor: int) -> bool:
     return False
 
 
+# The half depth of the meet-in-the-middle join.  The row's sweep yields
+# its level 3 anyway, as floor paths of up to four edges are settled
+# before it; joined to a target's own paths of 2 or 3 edges, that level
+# covers the floor paths of 5 edges (floor 1) and 6 edges (floor 0), the
+# lengths most open targets of a bipartite row need.  A target's paths
+# are few at that depth on the sparse rows that get this far, while
+# each level deeper multiplies them by the degree.
+_HALF = 3
+# per bitset y of a path of at most _HALF edges, bit 2 * _HALF - j for
+# each bit j of y
+_MIRROR = [sum(1 << 2 * _HALF - j for j in range(2 * _HALF + 1)
+               if y >> j & 1) for y in range(1 << 2 * _HALF + 1)]
+
+
+def _target_halves(adj, t: int) -> tuple:
+    """Per parity floor f (0, 1) of a target t, t's simple paths of
+    _HALF - f edges as {end x: [(mask, need)]}; a sum has its path's
+    parity, so a floor path joined from them has 2 * _HALF - f edges.
+    need holds the bits i of a source path of _HALF edges ending at x
+    (sum i - _HALF) whose sum and this path's (sum j - (_HALF - f) at
+    bit j) add up to +f or -f, i.e. i = 2 * _HALF - j or
+    i = 2 * (_HALF - f) - j."""
+    levels = list(itertools.islice(_levels(adj, t), _HALF + 1))
+    halves = []
+    for f in (0, 1):
+        tails = {}
+        if _HALF - f < len(levels):
+            for x, states in levels[_HALF - f].items():
+                tails[x] = [(mask, _MIRROR[y] | _MIRROR[y] >> 2 * f)
+                            for mask, y in states.items()]
+        halves.append(tails)
+    return tuple(halves)
+
+
+def _joins(level, tails) -> bool:
+    """Whether a state (x, A, X) of level, the row's paths of _HALF
+    edges, and a tail (B, need) at the same end x of _target_halves
+    form one simple path at the target's floor: A & B == 1 << x keeps
+    the two halves apart but for x, and X & need pairs their sums."""
+    for x, ends in tails.items():
+        heads = level.get(x)
+        if heads:
+            bit = 1 << x
+            for a, xs in heads.items():
+                for b, need in ends:
+                    if xs & need and a & b == bit:
+                        return True
+    return False
+
+
 def _signed_row(g: Graph, signs, source: int, targets) -> list:
     """Least |sign sum| from source to each vertex of targets, indexed
     by vertex (0 at source; INFINITE at vertices outside targets and
-    at unreachable ones), by the seeds, the sweep and the two stopping
-    rules signed_distance_row states; B is the largest best over the
-    targets not yet finished.
+    at unreachable ones), by the shortcuts, the seeds, the sweep and
+    the two stopping rules signed_distance_row states; B is the largest
+    best over the targets not yet finished.
     """
-    adj, plus, minus, root, side, odd, m_plus, m_minus = \
+    adj, plus, minus, root, side, odd, m_plus, m_minus, halves = \
         _signed_setup(g, tuple(signs))
     n = g.n
+    best = [INFINITE] * n
+    best[source] = 0
+    if not (m_plus and m_minus):
+        # with one sign every path's |sum| is its length
+        dist = bfs_distances(g, source)
+        for t in targets:
+            best[t] = dist[t]
+        return best
     offset = n - 1
     home = root[source]
     floor = [INFINITE if r != home else 0 if home in odd
              else s ^ side[source] for r, s in zip(root, side)]
-    best = [INFINITE] * n
-    best[source] = 0
     todo = set()
     up, down = plus[source], minus[source]
     near = up | down
-    # with one sign no path of three or four edges attains a floor
-    mixed = m_plus and m_minus
     for t in targets:
         if t != source:
             if up & minus[t] or down & plus[t]:
@@ -396,7 +458,7 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
             elif near & (plus[t] | minus[t]):
                 best[t] = 2
             if best[t] != floor[t]:
-                if mixed and _floor_path(plus, minus, source, t, floor[t]):
+                if _floor_path(plus, minus, source, t, floor[t]):
                     best[t] = floor[t]
                 else:
                     todo.add(t)
@@ -426,6 +488,13 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
                     sums << offset - length, offset))
                 if best[v] == floor[v]:
                     todo.discard(v)
+        if length == _HALF:
+            for t in list(todo):
+                if t not in halves:
+                    halves[t] = _target_halves(adj, t)
+                if _joins(level, halves[t][floor[t]]):
+                    best[t] = floor[t]
+                    todo.discard(t)
         if not todo:
             break
     return best
@@ -440,9 +509,12 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     targets and every vertex outside targets, and source reads 0.
     targets names the answers the caller reads, not a tuning knob: a
     path reversed keeps its sum, so a caller summing over unordered
-    pairs asks row u only for the targets v > u.  Each target's best
-    starts at a seed, one DP sweep serves the targets left open, and
-    it stops at proven floors by two exact rules:
+    pairs asks row u only for the targets v > u.  On a signing of one
+    sign every path's |sum| is its length, so the row is bfs_distances'
+    and no sweep runs.  Otherwise each target's best starts at a seed,
+    one DP sweep serves the targets left open, a join at its level 3
+    settles more of them, and it stops at proven floors by two exact
+    rules:
 
     - Seed.  Before the sweep, each target t takes the least |sum| of
       its paths of at most two edges: 0 if a common neighbour w has
@@ -450,14 +522,23 @@ def signed_distance_row(g: Graph, signing, source: int, *,
       common neighbour exists.  Each seed is a real simple path's
       |sum|, so it bounds t's distance from above and the rules below
       hold unchanged; a target whose seed meets its floor is finished.
-      A target left open, on a signing with both signs, gets one more
-      test from the same bitsets, for a path that attains its floor.
+      A target left open gets one more test from the same bitsets, for
+      a path that attains its floor.
       Floor 1: a path u-a-b-t with a != t, b != u and mixed signs.
       Floor 0: a path u-a-b-c-t with sign(ua) + sign(ab) =
       -(sign(bc) + sign(ct)), a != t, c != u and a != c.  Such a path
       is real and simple and no path beats a floor, so a target that
       passes is finished at its floor; one that fails keeps its seed.
       A row with no target left open runs no sweep.
+    - Join.  Once the sweep yields level 3, each open target t is
+      tested for a floor path of 5 edges (floor 1) or 6 (floor 0): a
+      sweep state (x, A) of 3 edges and one of t's own paths from t to
+      x of 2 or 3 edges, with vertex set B, form one simple path when
+      A & B == 1 << x, and its sum is the sum of the two.  t's paths
+      are built once per (graph, signing) and kept in the setup.  A
+      pair at the floor is a real path that no path beats, so it
+      finishes t; a target with none stays open for the sweep, so the
+      join changes no answer.
     - Parity floor.  Every path between the two sides of a bipartite
       component has odd length, hence an odd sum, so |sum| >= 1 there;
       elsewhere the floor is 0.  No path can beat a floor, so a target
@@ -473,12 +554,13 @@ def signed_distance_row(g: Graph, signing, source: int, *,
       lies at |sum| >= B can improve no unfinished target, so it is
       not extended.
 
-    So a bipartite row ends once each side meets its floor, and a
-    constant signing, which can never bring a sum back down, stops
-    after level ecc(source).  The adjacency, the neighbour bitsets and
-    the component sides are built once per (graph, signing) and shared
-    by every row over it, the rows of one wiener_signed and a pair
-    query after them alike.
+    So a bipartite row ends once each side meets its floor, and only
+    rows with a target above its floor, or whose floor paths all have
+    seven or more edges, sweep past level 3.  The adjacency, the
+    neighbour bitsets, the component sides and the targets' short paths
+    are built once per (graph, signing) and shared by every row over
+    it, the rows of one wiener_signed and a pair query after them
+    alike.
     """
     sigma = as_signing(signing)
     targets = range(g.n) if targets is None else tuple(targets)
@@ -492,14 +574,16 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
     """Minimum |sign sum| over all simple uv-paths; 0 at u == v via the
     empty path; INFINITE across components.
 
-    The one-target case of signed_distance_row's sweep, under the same
-    rules: v's seed, or a three- or four-edge path attaining v's parity
-    floor, may settle it with no sweep; else the sweep ends
-    once v meets its parity floor (1 when u and v lie on opposite sides
-    of a bipartite component, else 0), and it drops the prefixes whose
-    sign budget cannot end below v's best, so it may stop long before
-    the row would.  Neither rule discards a path that could lower v's
-    distance, so the value is exact.
+    The one-target case of signed_distance_row, under the same rules:
+    on a one-sign signing it is the BFS distance; else v's seed, or a
+    three- or four-edge path attaining v's parity floor, may settle it
+    with no sweep, and a five- or six-edge one found by the join at
+    level 3 settles it there; else the sweep ends once v meets its
+    parity floor (1 when u and v lie on opposite sides of a bipartite
+    component, else 0), and it drops the prefixes whose sign budget
+    cannot end below v's best, so it may stop long before the row
+    would.  No rule discards a path that could lower v's distance, so
+    the value is exact.
     """
     sigma = as_signing(signing)
     check_fit(g, sigma, u, v)
@@ -547,9 +631,10 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
     if u == v:
         return 0, PathWitness((u,), (), (0, 0))
     # a length-L path with sum s sets bit L + s
-    path = _first_path(g, _signed_steps(sigma.signs), u, v,
-                      lambda length: (length + d, length - d)
-                      if length >= d else ())
+    path = _first_path(g, _signed_setup(g, tuple(sigma.signs)).adj,
+                       _signed_steps(sigma.signs), u, v,
+                       lambda length: (length + d, length - d)
+                       if length >= d else ())
     return d, PathWitness.from_vertices(g, path, sigma.as_coloring())
 
 
@@ -603,8 +688,9 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
         return PathWitness((u,), (), (0,) * coloring.r)
     steps, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
-    path = _first_path(g, steps, u, v, lambda length: () if length % r
-                      else (length // r * unit,))
+    path = _first_path(g, _adjacency(g, steps), steps, u, v,
+                       lambda length: () if length % r
+                       else (length // r * unit,))
     return None if path is None else PathWitness.from_vertices(g, path,
                                                                coloring)
 

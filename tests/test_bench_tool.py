@@ -150,6 +150,25 @@ def test_summary_flags_metrics_worse_than_their_bound(parent, change,
     assert table["job_p90_s"]["bound"] == 0.25
 
 
+@pytest.mark.parametrize("change, beyond", [
+    # parent job_p90_s 3.0-5.0 (q1 3.5, q3 4.5), work_per_s 100-140
+    # (q1 110, q3 130); lower p90 and higher rate are better
+    ((3.4, 131.0), (True, True)),     # past the better quartile
+    ((3.5, 130.0), (False, False)),   # at it
+    ((3.8, 120.0), (False, False)),   # better, but inside the spread
+    ((4.6, 105.0), (False, False)),   # past the worse quartile
+], ids=["past", "at", "inside", "worse"])
+def test_summary_marks_gains_beyond_the_parents_spread(change, beyond):
+    parents = [(3.0, 100.0), (3.5, 110.0), (4.0, 120.0), (4.5, 130.0),
+               (5.0, 140.0)]
+    table = bench.summarize(runs_of([(p, change) for p in parents]),
+                            METRICS)["certify"]["metrics"]
+    assert (table["job_p90_s"]["parent"]["q1"],
+            table["work_per_s"]["parent"]["q3"]) == (3.5, 130.0)
+    assert (table["job_p90_s"]["beyond_spread"],
+            table["work_per_s"]["beyond_spread"]) == beyond
+
+
 def test_over_bound_metrics_are_listed_on_stderr(monkeypatch, tmp_path,
                                                  capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({

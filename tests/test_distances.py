@@ -32,6 +32,7 @@ from signedwiener.distances import (
 )
 from signedwiener.graphs import (
     Graph,
+    bfs_distances,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -135,6 +136,20 @@ class TestSignedDistance:
         assert naive.signed_distance(g.n, g.edges, signs, 0, 3) == d
         assert signed_distance(g, signs, 0, 3) == d
         assert signed_distance_row(g, signs, 0)[3] == d
+
+    def test_joined_halves_must_be_simple(self):
+        # the row's half 0-5-2-3 (sum -1) and 1's half 1-2-5-3 (sum +1)
+        # meet at 3 but share 2 and 5, so a join that lets them pair
+        # would settle d(0, 1) at its floor 0; every real path sums to
+        # +-1 or more
+        g = Graph(6, [(0, 5), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5),
+                      (3, 5)])
+        signs = (1, 1, -1, -1, -1, -1, 1)
+        want = [naive.signed_distance(g.n, g.edges, signs, 0, v)
+                for v in range(g.n)]
+        assert want[1] == 1
+        assert signed_distance(g, signs, 0, 1) == 1
+        assert signed_distance_row(g, signs, 0) == want
 
     def test_accepts_signing_objects(self):
         g = path_graph(3)
@@ -442,7 +457,8 @@ class TestGuards:
 class TestEarlyStop:
     """Work, not time: how many levels a row's DP sweep yields (before
     the rows were seeded from their paths of at most two edges, the
-    K_{3,3} rows below swept 3 levels each)."""
+    K_{3,3} rows below swept 3 levels each; before one-sign rows read
+    bfs_distances, the constant rows swept ecc(s) + 1 levels each)."""
 
     @staticmethod
     def levels_per_row(monkeypatch, g, signs):
@@ -464,12 +480,14 @@ class TestEarlyStop:
                                         (cycle_graph(9), 4)])
     def test_constant_rows_stop_after_eccentricity(self, monkeypatch, g,
                                                    ecc):
-        # a constant signing cannot bring a sum back down, so the sign
-        # budget ends each row after level ecc(s); a full sweep yields
-        # one level per vertex on both graphs
+        # with one sign every path's |sum| is its length, so each row is
+        # the BFS row, whose largest entry is ecc(s), and none sweeps
         for sign in (1, -1):
-            counts = self.levels_per_row(monkeypatch, g, (sign,) * g.m)
-            assert counts == [ecc + 1] * g.n
+            signs = (sign,) * g.m
+            assert self.levels_per_row(monkeypatch, g, signs) == []
+            for s in range(g.n):
+                row = signed_distance_row(g, signs, s)
+                assert row == bfs_distances(g, s) and max(row) == ecc
 
     def test_bipartite_rows_stop_at_parity_floors(self, monkeypatch):
         # on this K_{3,3} signing every target meets its parity floor
@@ -494,7 +512,10 @@ class TestPairRows:
     2, 6 and 8, and from 2,250, 1,414 and 2,643 states to 1,676, 1,356
     and 2,626.  Settling the targets whose parity floor a three- or
     four-edge path attains took them on to 0, 0 and 5 sweeps and 0, 0
-    and 2,305 states."""
+    and 2,305 states.  The join of each open target's own paths of
+    three edges to the row's level 3 then took square_cycle_signing(10)
+    from 5 sweeps and 2,305 states to 10 sweeps (5 rows and 5 targets'
+    halves) and 450 states."""
 
     @staticmethod
     def count(monkeypatch, query):
@@ -532,7 +553,7 @@ class TestPairRows:
     @pytest.mark.parametrize("case, value, sweeps, states", [
         pytest.param("alternating K_10", 0, 0, 0, id="alternating K_10"),
         pytest.param("alternating K_5,5", 25, 0, 0, id="alternating K_5,5"),
-        pytest.param("square_cycle_signing(10)", 0, 5, 2305,
+        pytest.param("square_cycle_signing(10)", 0, 10, 450,
                      id="square_cycle_signing(10)"),
     ])
     def test_wiener_rows_sweep_only_later_targets(self, monkeypatch, case,

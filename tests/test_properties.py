@@ -348,10 +348,11 @@ class TestOracleEquivalence:
 
     def test_stopping_rules_on_shaped_signings(self):
         # the parity floor acts on bipartite, tree and disconnected
-        # graphs, the sign budget on constant and nearly constant
-        # signings, the seeds and the three- and four-edge floor paths
-        # on every shape, most on dense ones, and leafy ones (sparse,
-        # an odd cycle, a pendant vertex) leave rows to the sweep: on
+        # graphs, the sign budget on nearly constant signings, the BFS
+        # rows on constant ones, the seeds and the three- and four-edge
+        # floor paths on every shape, most on dense ones, the join at
+        # level 3 on sparse bipartite ones, and leafy ones (sparse, an
+        # odd cycle, a pendant vertex) leave rows to the sweep: on
         # those shapes the row (whole or asked for some targets), the
         # pair query, the witness's distance and W must still equal the
         # oracle's, and the paper's identities hold.  A second signing
@@ -362,10 +363,12 @@ class TestOracleEquivalence:
 
         @st.composite
         def shaped(draw):
-            n = draw(st.integers(1, 8))
-            pairs = list(combinations(range(n), 2))
             shape = draw(st.sampled_from(("any", "bipartite", "tree",
-                                          "disconnected", "dense", "leafy")))
+                                          "disconnected", "dense", "leafy",
+                                          "sparse bipartite")))
+            n = draw(st.integers(1, 10 if shape == "sparse bipartite"
+                                 else 8))
+            pairs = list(combinations(range(n), 2))
             if shape == "bipartite":
                 side = draw(st.lists(st.booleans(), min_size=n,
                                      max_size=n))
@@ -392,8 +395,19 @@ class TestOracleEquivalence:
                 pairs = sorted(core) + rest[:2 * n - 2 - len(core)]
                 if n > 1:
                     pairs.append((draw(st.integers(0, n - 2)), n - 1))
-            keep = [True] * len(pairs) if shape in ("tree", "dense",
-                                                    "leafy") else \
+            elif shape == "sparse bipartite":
+                # a tree across the sides of v % 2 and four chords across
+                # them, m = n + 3 where the sides allow: rows whose open
+                # targets need floor paths of five or six edges, the ones
+                # the join at level 3 settles
+                tree = {(draw(st.sampled_from(range((v + 1) % 2, v, 2))), v)
+                        for v in range(1, n)}
+                chords = draw(st.permutations(
+                    [(a, b) for a, b in pairs
+                     if (a + b) % 2 and (a, b) not in tree]))
+                pairs = sorted(tree) + chords[:4]
+            keep = [True] * len(pairs) if shape in (
+                "tree", "dense", "leafy", "sparse bipartite") else \
                 draw(st.lists(st.booleans(), min_size=len(pairs),
                               max_size=len(pairs)))
             g = Graph(n, [e for e, k in zip(pairs, keep) if k])

@@ -21,6 +21,10 @@ on wrong answers, so this tool exits 1, after writing the file, when
 any run was incorrect.  A metric whose change median is worse than the
 parent median by more than its BENCHMARK.json bound (relative, in the
 metric's better direction) is marked over_bound and listed on stderr.
+A metric whose change median is better than the parent's better
+quartile (q1 when lower is better, q3 when higher is better) is marked
+beyond_spread: the change median lies outside the parent's own
+run-to-run spread, on the better side.
 """
 
 from __future__ import annotations
@@ -67,10 +71,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     and failed share (failed over attempted operations, over every run
     of that side, paired or not) and, per metric, each side's median
     and quartiles, the median's relative change, whether that change is
-    worse than the metric's bound allows (over_bound), and the pairs the
-    change won, lost or tied.  runs carry workload, seed, side, passes,
-    correct, attempted, failed and metrics; metrics are BENCHMARK.json's
-    end_to_end entries (name, better, bound)."""
+    worse than the metric's bound allows (over_bound), whether the
+    change median is better than the parent's better quartile
+    (beyond_spread), and the pairs the change won, lost or tied.  runs
+    carry workload, seed, side, passes, correct, attempted, failed and
+    metrics; metrics are BENCHMARK.json's end_to_end entries (name,
+    better, bound)."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         sided = {side: [run for run in runs if run["workload"] == workload
@@ -92,14 +98,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 gain = gain if lower else -gain
                 won += gain > 0
                 lost += gain < 0
-            base = sides["parent"]["median"]
-            change_pct = (100 * (sides["change"]["median"] - base) / base
-                          if base else None)
+            base, median = sides["parent"]["median"], \
+                sides["change"]["median"]
+            change_pct = 100 * (median - base) / base if base else None
             table[name] = {
                 "better": spec["better"], "bound": spec["bound"], **sides,
                 "change_pct": change_pct,
                 "over_bound": change_pct is not None and
                 (change_pct if lower else -change_pct) > 100 * spec["bound"],
+                "beyond_spread": median < sides["parent"]["q1"] if lower
+                else median > sides["parent"]["q3"],
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost}
         passes = {side: statistics.median(p[side]["passes"] for p in pairs)
                   for side in SIDES}
