@@ -150,11 +150,6 @@ def _emit(args, tree: dict, lines) -> None:
             print(line)
 
 
-def _certificate_line(certificate) -> str:
-    deleted, u, v = certificate
-    return f"certificate: delete {list(deleted)}, pair ({u},{v})"
-
-
 def _max_bits(args):
     """The candidate-bit budget that --max-edges E gives the scan that
     runs: E-1 bits for signings (the first sign is fixed) and
@@ -205,32 +200,32 @@ def _cmd_wiener(args) -> int:
     return 0
 
 
+def _verdict_exit(args, label: str, tree: dict, verdict) -> int:
+    """Print a canceling verdict under label, the query's parameters in
+    tree first, and exit 0 when it holds, else 1."""
+    lines = [f"{label}: {'yes' if verdict.holds else 'no'}"]
+    if verdict.certificate is not None:
+        deleted, u, v = verdict.certificate
+        lines.append(f"certificate: delete {list(deleted)}, pair ({u},{v})")
+    _emit(args, tree | as_tree(verdict), lines)
+    return 0 if verdict.holds else 1
+
+
 def _cmd_check(args) -> int:
     inp = load_input(args.input)
     signs = _need_signs(inp)
     verdict = is_k_canceling_signing(inp.graph, signs, args.k,
                                      max_n=args.max_n)
-    tree = {"k": args.k} | as_tree(verdict)
-    lines = [f"{args.k}-canceling: {'yes' if verdict.holds else 'no'}"]
-    if verdict.certificate is not None:
-        lines.append(_certificate_line(verdict.certificate))
-    _emit(args, tree, lines)
-    return 0 if verdict.holds else 1
+    return _verdict_exit(args, f"{args.k}-canceling", {"k": args.k}, verdict)
 
 
 def _cmd_check_colored(args) -> int:
     inp = load_input(args.input)
-    colors = _need_colors(inp)
-    coloring = EdgeColoring(args.r, colors)
+    coloring = EdgeColoring(args.r, _need_colors(inp))
     verdict = is_rk_canceling_coloring(inp.graph, coloring, args.k,
                                        max_n=args.max_n)
-    tree = {"r": args.r, "k": args.k} | as_tree(verdict)
-    lines = [f"({args.r},{args.k})-canceling: "
-             f"{'yes' if verdict.holds else 'no'}"]
-    if verdict.certificate is not None:
-        lines.append(_certificate_line(verdict.certificate))
-    _emit(args, tree, lines)
-    return 0 if verdict.holds else 1
+    return _verdict_exit(args, f"({args.r},{args.k})-canceling",
+                         {"r": args.r, "k": args.k}, verdict)
 
 
 def _cmd_filter(args) -> int:

@@ -9,20 +9,10 @@ sums to 2p - L; signed distances and r = 2 canceling queries use it.
 In the count table, used for every other r, bit i marks the per-color
 edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
-prefixes that do are dropped.  A signed distance row on a one-sign
-signing is the BFS row, as every path's |sum| is its length.  On a
-signing with both signs it seeds each target from its paths of at most
-two edges, read off the neighbour bitsets, and settles, before any
-sweep, each target whose parity floor a path of three edges (floor 1)
-or four edges (floor 0) attains, read off the same bitsets.  At level 3
-of its sweep it joins its own paths to each open target's paths of two
-or three edges, meeting at one shared end, which settles the targets
-whose floor a simple path of five or six edges attains.  Each such path
-is real and simple, and no path beats a floor, so every step is exact.
-The sweep stops at proven floors, a parity floor and a sign budget (see
-signed_distance_row); the rows over one signing share one setup
-(adjacency, neighbour bitsets, component sides, the targets' short
-paths), built once.
+prefixes that do are dropped.  A signed distance row settles each
+target it can on a floor path, before and during one sweep, and stops
+at proven floors; signed_distance_row states its rules.  The rows over
+one signing share one setup, built once.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -110,8 +100,9 @@ class EdgeColoring:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("need at least one color")
-        if any(not 1 <= c <= self.r for c in self.colors):
-            raise ValueError(f"colors must lie in 1..{self.r}")
+        if any(type(c) is not int or not 1 <= c <= self.r
+               for c in self.colors):
+            raise ValueError(f"colors must be integers in 1..{self.r}")
 
 
 def as_signing(signing) -> Signing:
@@ -189,10 +180,7 @@ def _levels(adj, source: int, window=None):
     level L, window(L) gives the bits worth extending, and each state
     of level L is masked by it once before its edges are crossed (-1
     keeps every bit).  Only the signed row passes one, for its sign
-    budget, and it ends the sweep itself at its parity floors (see
-    signed_distance_row).  Both are exact: the budget drops only
-    prefixes that cannot end below the best of any target still open,
-    and no path beats a parity floor.
+    budget (see signed_distance_row).
     """
     level = {source: {1 << source: 1}}
     length = 0
@@ -255,24 +243,24 @@ def _cancel_guard(n: int, r: int, max_n) -> None:
 
 
 def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
-    """Guard a canceling query that fits g and return its steps and
-    unit: a path of length j*r cancels iff bit j*unit is set.  Two
+    """Guard a canceling query that fits g and return its _adjacency
+    and unit: a path of length j*r cancels iff bit j*unit is set.  Two
     colors run on the narrower signed table (color 1 as +1); every
     other r on the count table."""
     _cancel_guard(g.n, coloring.r, max_n)
     if coloring.r == 2:
-        return _signed_steps(coloring.colors), 2
+        return _adjacency(g, _signed_steps(coloring.colors)), 2
     by_color, unit = _count_steps(g.n, coloring.r)
-    return [by_color[c - 1] for c in coloring.colors], unit
+    return _adjacency(g, [by_color[c - 1] for c in coloring.colors]), unit
 
 
-def _first_path(g: Graph, adj, steps, u: int, v: int, wanted):
-    """The vertices of the first uv-path the DP finds, or None.
+def _first_path(adj, u: int, v: int, wanted):
+    """The vertices of the first uv-path the DP finds over adj, an
+    _adjacency, or None.
 
-    adj is _adjacency(g, steps), built by the caller.  wanted(L) lists
-    the bits sought at length L, preferred first.  The path is the
-    shortest, then the first wanted bit, then the least vertex-set
-    bitmask, then as _walk_back picks.
+    wanted(L) lists the bits sought at length L, preferred first.  The
+    path is the shortest, then the first wanted bit, then the least
+    vertex-set bitmask, then as _walk_back picks.
     """
     levels = []
     for length, level in enumerate(_levels(adj, u)):
@@ -281,20 +269,19 @@ def _first_path(g: Graph, adj, steps, u: int, v: int, wanted):
         for i in wanted(length):
             masks = [mask for mask, x in states.items() if x >> i & 1]
             if masks:
-                return _walk_back(g, steps, levels, v, min(masks), i)
+                return _walk_back(adj, levels, v, min(masks), i)
     return None
 
 
-def _walk_back(g: Graph, steps, levels, v: int, mask: int, i: int):
+def _walk_back(adj, levels, v: int, mask: int, i: int):
     """The path behind bit i of state (mask, v) in the last of levels,
     taking the least predecessor at each step back, i.e. the least path
-    read backward from v."""
+    read backward from v; each step is read from adj's entries."""
     path = [v]
     for level in reversed(levels[:-1]):
         mask &= ~(1 << v)
-        for w in sorted(g.neighbors(v)):
-            keep, shift = steps[g.edge_index(w, v)]
-            if mask >> w & 1 and i >= shift and \
+        for w, bit, keep, shift in sorted(adj[v]):
+            if mask & bit and i >= shift and \
                     (level.get(w, {}).get(mask, 0) & keep) >> (i - shift) & 1:
                 path.append(w)
                 v, i = w, i - shift
@@ -345,10 +332,9 @@ def _signed_setup(g: Graph, signs: tuple) -> _SignedSetup:
 
 
 def _floor_path(plus, minus, u: int, t: int, floor: int) -> bool:
-    """Whether a simple path from u to t has |sum| = floor (0 or 1) in
-    four or three edges, read off the neighbour bitsets: floor 1 by
-    u-a-b-t with mixed signs, floor 0 by u-a-b-c-t with
-    sign(ua) + sign(ab) = -(sign(bc) + sign(ct)) and a != c."""
+    """Whether a simple path from u to t of three edges (floor 1) or
+    four (floor 0) attains t's parity floor, as signed_distance_row
+    states, read off the neighbour bitsets."""
     not_u, not_t = ~(1 << u), ~(1 << t)
     pu, mu, pt, mt = plus[u], minus[u], plus[t], minus[t]
     if floor == 1:
@@ -427,9 +413,8 @@ def _joins(level, tails) -> bool:
 def _signed_row(g: Graph, signs, source: int, targets) -> list:
     """Least |sign sum| from source to each vertex of targets, indexed
     by vertex (0 at source; INFINITE at vertices outside targets and
-    at unreachable ones), by the shortcuts, the seeds, the sweep and
-    the two stopping rules signed_distance_row states; B is the largest
-    best over the targets not yet finished.
+    at unreachable ones), by the rules signed_distance_row states; B
+    is the largest best over the targets still open.
     """
     adj, plus, minus, root, side, odd, m_plus, m_minus, halves = \
         _signed_setup(g, tuple(signs))
@@ -448,20 +433,16 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
              else s ^ side[source] for r, s in zip(root, side)]
     todo = set()
     up, down = plus[source], minus[source]
-    near = up | down
     for t in targets:
-        if t != source:
-            if up & minus[t] or down & plus[t]:
-                best[t] = 0
-            elif near >> t & 1:
-                best[t] = 1
-            elif near & (plus[t] | minus[t]):
-                best[t] = 2
-            if best[t] != floor[t]:
-                if _floor_path(plus, minus, source, t, floor[t]):
-                    best[t] = floor[t]
-                else:
-                    todo.add(t)
+        f = floor[t]
+        if t == source or f == INFINITE:
+            continue
+        # a floor path of one edge (floor 1) or two mixed ones (floor 0)
+        short = (up | down) >> t & 1 if f else up & minus[t] or down & plus[t]
+        if short or _floor_path(plus, minus, source, t, f):
+            best[t] = f
+        else:
+            todo.add(t)
     if not todo:
         return best
 
@@ -509,57 +490,44 @@ def signed_distance_row(g: Graph, signing, source: int, *,
     targets and every vertex outside targets, and source reads 0.
     targets names the answers the caller reads, not a tuning knob: a
     path reversed keeps its sum, so a caller summing over unordered
-    pairs asks row u only for the targets v > u.  On a signing of one
-    sign every path's |sum| is its length, so the row is bfs_distances'
-    and no sweep runs.  Otherwise each target's best starts at a seed,
-    one DP sweep serves the targets left open, a join at its level 3
-    settles more of them, and it stops at proven floors by two exact
-    rules:
+    pairs asks row u only for the targets v > u.  Each rule below finds
+    a real simple path or drops only paths that cannot help, and no
+    path beats a parity floor, so every answer is exact:
 
-    - Seed.  Before the sweep, each target t takes the least |sum| of
-      its paths of at most two edges: 0 if a common neighbour w has
-      sign(uw) != sign(wt), else 1 if t is adjacent, else 2 if a
-      common neighbour exists.  Each seed is a real simple path's
-      |sum|, so it bounds t's distance from above and the rules below
-      hold unchanged; a target whose seed meets its floor is finished.
-      A target left open gets one more test from the same bitsets, for
-      a path that attains its floor.
-      Floor 1: a path u-a-b-t with a != t, b != u and mixed signs.
-      Floor 0: a path u-a-b-c-t with sign(ua) + sign(ab) =
-      -(sign(bc) + sign(ct)), a != t, c != u and a != c.  Such a path
-      is real and simple and no path beats a floor, so a target that
-      passes is finished at its floor; one that fails keeps its seed.
-      A row with no target left open runs no sweep.
+    - One sign.  Every path's |sum| is its length, so the row is
+      bfs_distances' and no sweep runs.
+    - Parity floor.  Every path between the two sides of a bipartite
+      component has odd length, hence an odd sum, so |sum| >= 1 there;
+      elsewhere the floor is 0.  A target whose best meets its floor is
+      finished, and the row ends once every target is (targets outside
+      source's component are finished at INFINITE).
+    - Floor paths.  Before any sweep, a target t is finished at its
+      floor if a simple path of at most four edges attains it.
+      Floor 1: t adjacent to u, or a path u-a-b-t (a != t, b != u)
+      with mixed signs.  Floor 0: a path u-w-t with sign(uw) !=
+      sign(wt), or u-a-b-c-t with sign(ua) + sign(ab) =
+      -(sign(bc) + sign(ct)), a != t, c != u and a != c.  All are read
+      off each vertex's plus- and minus-neighbour bitsets.  The other
+      targets stay open with no best, and one DP sweep serves them; a
+      row with none runs no sweep.
     - Join.  Once the sweep yields level 3, each open target t is
       tested for a floor path of 5 edges (floor 1) or 6 (floor 0): a
       sweep state (x, A) of 3 edges and one of t's own paths from t to
       x of 2 or 3 edges, with vertex set B, form one simple path when
-      A & B == 1 << x, and its sum is the sum of the two.  t's paths
-      are built once per (graph, signing) and kept in the setup.  A
-      pair at the floor is a real path that no path beats, so it
-      finishes t; a target with none stays open for the sweep, so the
-      join changes no answer.
-    - Parity floor.  Every path between the two sides of a bipartite
-      component has odd length, hence an odd sum, so |sum| >= 1 there;
-      elsewhere the floor is 0.  No path can beat a floor, so a target
-      whose best meets it is finished, and the row ends once every
-      target is finished (targets outside source's component are
-      finished at INFINITE).
-    - Sign budget.  Once every unfinished target has a best, by a seed
-      or the sweep, let B be their largest best.  A length-L prefix
-      with sum s has at most R = n-1-L edges left, at most min(R, m+)
-      positive and min(R, m-) negative (m+ and m- count the graph's
-      edges of each sign), so every completion ends in
-      [s - min(R, m-), s + min(R, m+)].  A prefix whose whole range
-      lies at |sum| >= B can improve no unfinished target, so it is
-      not extended.
+      A & B == 1 << x, and its sum is the sum of the two.
+    - Sign budget.  Once every open target has a best, let B be their
+      largest best.  A length-L prefix with sum s has at most
+      R = n-1-L edges left, at most min(R, m+) positive and min(R, m-)
+      negative (m+ and m- count the graph's edges of each sign), so
+      every completion ends in [s - min(R, m-), s + min(R, m+)].  A
+      prefix whose whole range lies at |sum| >= B can improve no open
+      target, so it is not extended.
 
-    So a bipartite row ends once each side meets its floor, and only
-    rows with a target above its floor, or whose floor paths all have
-    seven or more edges, sweep past level 3.  The adjacency, the
-    neighbour bitsets, the component sides and the targets' short paths
-    are built once per (graph, signing) and shared by every row over
-    it, the rows of one wiener_signed and a pair query after them
+    So only rows with a target above its floor, or whose floor paths
+    all have seven or more edges, sweep past level 3.  The adjacency,
+    the neighbour bitsets, the component sides and the targets' short
+    paths are built once per (graph, signing) and shared by every row
+    over it, the rows of one wiener_signed and a pair query after them
     alike.
     """
     sigma = as_signing(signing)
@@ -574,16 +542,9 @@ def signed_distance(g: Graph, signing, u: int, v: int, *,
     """Minimum |sign sum| over all simple uv-paths; 0 at u == v via the
     empty path; INFINITE across components.
 
-    The one-target case of signed_distance_row, under the same rules:
-    on a one-sign signing it is the BFS distance; else v's seed, or a
-    three- or four-edge path attaining v's parity floor, may settle it
-    with no sweep, and a five- or six-edge one found by the join at
-    level 3 settles it there; else the sweep ends once v meets its
-    parity floor (1 when u and v lie on opposite sides of a bipartite
-    component, else 0), and it drops the prefixes whose sign budget
-    cannot end below v's best, so it may stop long before the row
-    would.  No rule discards a path that could lower v's distance, so
-    the value is exact.
+    The one-target case of signed_distance_row, under its rules; as
+    the sign budget tracks v alone, it may stop long before the row
+    would.
     """
     sigma = as_signing(signing)
     check_fit(g, sigma, u, v)
@@ -631,8 +592,7 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
     if u == v:
         return 0, PathWitness((u,), (), (0, 0))
     # a length-L path with sum s sets bit L + s
-    path = _first_path(g, _signed_setup(g, tuple(sigma.signs)).adj,
-                       _signed_steps(sigma.signs), u, v,
+    path = _first_path(_signed_setup(g, tuple(sigma.signs)).adj, u, v,
                        lambda length: (length + d, length - d)
                        if length >= d else ())
     return d, PathWitness.from_vertices(g, path, sigma.as_coloring())
@@ -656,13 +616,13 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
     """
     targets = range(g.n) if targets is None else tuple(targets)
     check_fit(g, coloring, source, *targets)
-    steps, unit = _cancel_table(g, coloring, max_n)
+    adj, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
     todo = set(targets)
     todo.discard(source)
-    for length, level in enumerate(_levels(_adjacency(g, steps), source)):
+    for length, level in enumerate(_levels(adj, source)):
         if length % r:
             continue
         cancel = 1 << length // r * unit
@@ -686,10 +646,9 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
     check_fit(g, coloring, u, v)
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
-    steps, unit = _cancel_table(g, coloring, max_n)
+    adj, unit = _cancel_table(g, coloring, max_n)
     r = coloring.r
-    path = _first_path(g, _adjacency(g, steps), steps, u, v,
-                       lambda length: () if length % r
+    path = _first_path(adj, u, v, lambda length: () if length % r
                        else (length // r * unit,))
     return None if path is None else PathWitness.from_vertices(g, path,
                                                                coloring)

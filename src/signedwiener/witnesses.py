@@ -141,6 +141,14 @@ def certify(w: SignedWitness) -> CertificationResult:
 # squares of paths, trees, cycles, and the cyclic complete graph
 
 
+def _square_signing(name: str, base: Graph, claim: Claim) -> SignedWitness:
+    """base squared, with base's edges + and the distance-2 edges -."""
+    g = square(base)
+    sigma = Signing(tuple(1 if base.has_edge(u, v) else -1
+                          for u, v in g.edges))
+    return SignedWitness(name, g, claim, signing=sigma)
+
+
 def square_path_signing(n: int) -> SignedWitness:
     """P_n squared with path edges + and distance-2 edges -.
 
@@ -150,15 +158,13 @@ def square_path_signing(n: int) -> SignedWitness:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    g = square(path_graph(n))
-    sigma = Signing(tuple(1 if v - u == 1 else -1 for u, v in g.edges))
     if n == 6:
         claim = Claim("w-zero", expected=False, exceptional_pair=(0, 5))
     elif n < 5:
         claim = Claim("w-zero", expected=False)
     else:
         claim = Claim("w-zero")
-    return SignedWitness(f"square-path-{n}", g, claim, signing=sigma)
+    return _square_signing(f"square-path-{n}", path_graph(n), claim)
 
 
 def complete_cyclic_signing(n: int) -> SignedWitness:
@@ -194,10 +200,7 @@ def square_tree_signing(t: Graph) -> SignedWitness:
                        claim=Claim("w-zero"))
     if t.n == 6 and max(degrees) == 2:
         return special_witness("p6sq")
-    g = square(t)
-    sigma = Signing(tuple(1 if t.has_edge(u, v) else -1 for u, v in g.edges))
-    return SignedWitness(f"square-tree-{t.n}", g, Claim("w-zero"),
-                         signing=sigma)
+    return _square_signing(f"square-tree-{t.n}", t, Claim("w-zero"))
 
 
 def square_cycle_signing(n: int) -> SignedWitness:
@@ -210,11 +213,8 @@ def square_cycle_signing(n: int) -> SignedWitness:
         return replace(complete_cyclic_signing(5), name="square-cycle-5")
     if n == 7:
         return special_witness("c7sq")
-    g = square(cycle_graph(n))
-    cn = cycle_graph(n)
-    sigma = Signing(tuple(1 if cn.has_edge(u, v) else -1 for u, v in g.edges))
-    return SignedWitness(f"square-cycle-{n}", g,
-                         Claim("k-canceling", k=2), signing=sigma)
+    return _square_signing(f"square-cycle-{n}", cycle_graph(n),
+                           Claim("k-canceling", k=2))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +404,14 @@ def _claim_comment(c: Claim) -> str:
     return "claim: " + " ".join(parts)
 
 
+def _number(text: str, token: str) -> int:
+    """text as an integer, or a ValueError that names token."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"malformed witness token {token!r}") from None
+
+
 def _parse_claim_comment(body: str) -> Claim:
     tokens = body.split()
     if not tokens:
@@ -412,18 +420,16 @@ def _parse_claim_comment(body: str) -> Claim:
     kw = {}
     for tok in tokens[1:]:
         key, _, val = tok.partition("=")
-        if key == "r":
-            kw["r"] = int(val)
-        elif key == "k":
-            kw["k"] = int(val)
+        if key in ("r", "k"):
+            kw[key] = _number(val, tok)
         elif key == "expected":
             if val.lower() not in ("true", "false"):
                 raise ValueError(
                     f"claim expected must be true or false, got {val!r}")
             kw["expected"] = val.lower() == "true"
         elif key == "exceptional-pair":
-            a, b = val.split(",")
-            kw["exceptional_pair"] = (int(a), int(b))
+            a, _, b = val.partition(",")
+            kw["exceptional_pair"] = (_number(a, tok), _number(b, tok))
         else:
             raise ValueError(f"unknown claim token {tok!r}")
     return Claim(kind, **kw)
@@ -454,7 +460,7 @@ def parse_witness(text: str) -> SignedWitness:
         elif key == "tag":
             name = f"special-{body}"
         elif key == "designated-edge":
-            designated = int(body)
+            designated = _number(body, comment)
     if claim is None:
         raise ValueError("witness text carries no claim comment")
     signing = coloring = None

@@ -481,6 +481,26 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert err == f"error: {reason}\n"
 
+    @pytest.mark.parametrize("line, token", [
+        ("# claim: w-zero expected=false exceptional-pair=1",
+         "exceptional-pair=1"),
+        ("# claim: w-zero expected=false exceptional-pair=1,x",
+         "exceptional-pair=1,x"),
+        ("# claim: k-canceling k=x", "k=x"),
+        ("# claim: rk-canceling r= k=2", "r="),
+        ("# claim: w-zero\n# designated-edge: x", "designated-edge: x"),
+    ])
+    def test_malformed_witness_token_is_named(self, capsys, tmp_path, line,
+                                              token):
+        text = (Path(__file__).parent.parent / "src" / "signedwiener"
+                / "fixtures" / "theta4.txt").read_text()
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace("# claim: w-zero", line))
+        code, out, err = run_cli(capsys, "construct", "union", str(path),
+                                 "theta4", "0", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: malformed witness token {token!r}\n"
+
     def test_bad_parameter_count(self, capsys):
         code, _, err = run_cli(capsys, "construct", "square-path")
         assert code == 2

@@ -492,7 +492,7 @@ class TestEarlyStop:
     def test_bipartite_rows_stop_at_parity_floors(self, monkeypatch):
         # on this K_{3,3} signing every target meets its parity floor
         # (0 on its own side, 1 across) by a path of at most two edges,
-        # so its seed finishes it and no row sweeps; with a floor of 0
+        # so it is finished before any sweep; with a floor of 0
         # everywhere each row would sweep 6 levels
         g = complete_bipartite_graph(3, 3)
         signs = (1, -1, -1, 1, 1, -1, -1, 1, 1)
@@ -567,6 +567,84 @@ class TestPairRows:
         }[case]
         assert self.count(monkeypatch, lambda: wiener_signed(g, signs)) \
             == (value, sweeps, states)
+
+
+class TestFloorPathRule:
+    """Work, not answers: a pair query runs no _levels sweep exactly
+    when its signing has both signs, the pair is connected and some
+    simple path of at most four edges has |sum| equal to the pair's
+    parity floor (1 across the sides of a bipartite component, else
+    0), the paths read from tests/naive.py.  A right answer alone would
+    not show a short floor path left to the sweep, nor a target
+    settled with no such path."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The sources of the _levels sweeps started since last cleared."""
+        sources = []
+        sweep = distances._levels
+
+        def counted(adj, source, window=None):
+            sources.append(source)
+            return sweep(adj, source, window)
+
+        monkeypatch.setattr(distances, "_levels", counted)
+        return sources
+
+    @staticmethod
+    def check(sweeps, g, signs):
+        lut = naive.edge_lookup(g.edges)
+        mixed = len(set(signs)) == 2
+        for u in range(g.n):
+            depth = bfs_distances(g, u)
+            bipartite = all(depth[a] == depth[b] == INFINITE
+                            or (depth[a] - depth[b]) % 2
+                            for a, b in g.edges)
+            for v in range(u + 1, g.n):
+                floor = int(bipartite and depth[v] % 2 == 1)
+                short = any(
+                    len(p) <= 5 and abs(sum(
+                        signs[i] for i in naive.path_edge_indices(p, lut)))
+                    == floor
+                    for p in naive.simple_paths(g.n, g.edges, u, v))
+                swept = mixed and depth[v] != INFINITE and not short
+                for a, b in ((u, v), (v, u)):
+                    sweeps.clear()
+                    signed_distance(g, signs, a, b)
+                    assert bool(sweeps) == swept, (g.edges, signs, a, b)
+
+    def test_every_mixed_signing_up_to_five_vertices(self, sweeps):
+        for n in range(3, 6):
+            for g in connected_graphs(n):
+                for bits in range(1, (1 << g.m) - 1):
+                    signs = tuple(1 if bits >> i & 1 else -1
+                                  for i in range(g.m))
+                    self.check(sweeps, g, signs)
+
+    def test_random_graphs_up_to_eight_vertices(self, sweeps):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def signed(draw):
+            n = draw(st.integers(2, 8))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            if draw(st.booleans()):
+                side = draw(st.lists(st.booleans(), min_size=n,
+                                     max_size=n))
+                pairs = [(a, b) for a, b in pairs if side[a] != side[b]]
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                                 max_size=len(pairs)))
+            g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+            return g, tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                          min_size=g.m, max_size=g.m)))
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(signed())
+        def run(case):
+            self.check(sweeps, *case)
+
+        run()
 
 
 class TestAchievableSums:

@@ -6,7 +6,7 @@ collapse, spanning-extension and exact-size-shortcut consistency, and
 engine-vs-naive oracle equivalence up to eight vertices (with
 hypothesis installed, also the tree shortcut on random signed trees,
 the signed and canceling rows on random colored graphs, rows asked
-for random target sets, the signed engine's seeds and early stops
+for random target sets, the signed engine's floor paths and early stops
 on constant, nearly constant, bipartite, tree and disconnected
 inputs, with a second signing of one graph and an equal but distinct
 graph after them, and
@@ -349,8 +349,8 @@ class TestOracleEquivalence:
     def test_stopping_rules_on_shaped_signings(self):
         # the parity floor acts on bipartite, tree and disconnected
         # graphs, the sign budget on nearly constant signings, the BFS
-        # rows on constant ones, the seeds and the three- and four-edge
-        # floor paths on every shape, most on dense ones, the join at
+        # rows on constant ones, the floor paths of at most four edges
+        # on every shape, most on dense ones, the join at
         # level 3 on sparse bipartite ones, and leafy ones (sparse, an
         # odd cycle, a pendant vertex) leave rows to the sweep: on
         # those shapes the row (whole or asked for some targets), the

@@ -1,6 +1,7 @@
 """Every public query refuses a signing or coloring that does not fit
 its graph, and a vertex outside it, with one ValueError message per
-kind, before any size guard and before the u == v shortcut."""
+kind, before any size guard and before the u == v shortcut; an
+EdgeColoring refuses colors that are not integers."""
 
 import pytest
 
@@ -140,3 +141,14 @@ def test_checks_run_before_the_size_guard():
         signed_distance(big, _signs(big.m), 0, 30, max_n=4)
     with pytest.raises(ValueError, match="^coloring has 5 entries"):
         is_rk_canceling_coloring(big, _colors(3)(5), 2, max_n=4)
+
+
+@pytest.mark.parametrize("colors", [(1.0, 2, 3), (True, 2, 3), ("1", 2, 3)],
+                         ids=["float", "bool", "str"])
+def test_non_integer_colors_are_refused(colors):
+    # a range check alone admits 1.0 and True, which equal 1, but the
+    # step table cannot be indexed by 1.0 and a witness file carries
+    # neither back
+    with pytest.raises(ValueError) as exc:
+        EdgeColoring(3, colors)
+    assert str(exc.value) == "colors must be integers in 1..3"
