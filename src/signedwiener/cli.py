@@ -12,7 +12,6 @@ headline-claim registry in `reproduce.py`.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from .graphs import (
 from .reports import as_tree, render_kv
 from .reproduce import SUITES
 from .search import (
+    candidate_bits,
     dyck_distribution,
     find_k_canceling_signing,
     min_signed_wiener,
@@ -66,14 +66,6 @@ from .witnesses import (
     subdivision_extend,
     union_signing,
 )
-
-CONSTRUCT_NAMES = (
-    "square-path", "complete-cyclic", "square-tree", "square-cycle",
-    "special", "subdivide", "union", "bipartite-cliques", "blowup",
-    "complete-rk",
-)
-
-SUITE_NAMES = tuple(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +97,7 @@ def load_input(source: str) -> LoadedInput:
         g = make_family(parts[1], parts[2].split(","))
         return LoadedInput(f"{parts[1]}({parts[2]})", g, None, None)
     if source.startswith("fixture:"):
-        w = special_witness(source[len("fixture:"):])
+        w = load_witness(source)
         return LoadedInput(w.name, w.graph, w.signing.signs, None)
     parsed = parse_any(_read_source(source))
     return LoadedInput("stdin" if source == "-" else source, parsed.graph,
@@ -115,23 +107,17 @@ def load_input(source: str) -> LoadedInput:
 def load_witness(source: str) -> SignedWitness:
     """Like load_input but keeps the full witness; bare fixture tags
     are accepted as shorthand."""
-    if source in SPECIAL_TAGS:
-        return special_witness(source)
-    if source.startswith("fixture:"):
-        return special_witness(source[len("fixture:"):])
+    if source.startswith("fixture:") or source in SPECIAL_TAGS:
+        return special_witness(source.removeprefix("fixture:"))
     return parse_witness(_read_source(source))
 
 
-def _need_signs(inp: LoadedInput) -> tuple[int, ...]:
-    if inp.signs is None:
-        raise ValueError(f"input {inp.label} carries no edge signs")
-    return inp.signs
-
-
-def _need_colors(inp: LoadedInput) -> tuple[int, ...]:
-    if inp.colors is None:
-        raise ValueError(f"input {inp.label} carries no edge colors")
-    return inp.colors
+def _need(inp: LoadedInput, kind: str) -> tuple[int, ...]:
+    """inp's edge "signs" or "colors"; refused if it carries none."""
+    tags = getattr(inp, kind)
+    if tags is None:
+        raise ValueError(f"input {inp.label} carries no edge {kind}")
+    return tags
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +138,17 @@ def _emit(args, tree: dict, lines) -> None:
 
 def _max_bits(args):
     """The candidate-bit budget that --max-edges E gives the scan that
-    runs: E-1 bits for signings (the first sign is fixed) and
-    ceil(E log2 r) for the r-colorings of `threshold --r`."""
+    runs: search.candidate_bits of E edges, r from `threshold --r`."""
     if args.max_edges is None:
         return None
-    r = getattr(args, "r", 2)
-    if r > 2:
-        return max(math.ceil(args.max_edges * math.log2(r)), 0)
-    return max(args.max_edges - 1, 0)
+    return candidate_bits(args.max_edges, getattr(args, "r", 2))
+
+
+def _save_witness(args, w: SignedWitness) -> None:
+    """Write w to the --emit-witness FILE, if one was given."""
+    if args.emit_witness:
+        with open(args.emit_witness, "w") as fh:
+            fh.write(emit_witness(w))
 
 
 # the command-line flag and argparse dest behind each guard keyword
@@ -180,8 +169,8 @@ def _guard_refusal(args, exc: SizeGuardError) -> str:
 
 def _cmd_dist(args) -> int:
     inp = load_input(args.input)
-    signs = _need_signs(inp)
-    d = signed_distance(inp.graph, signs, args.u, args.v, max_n=args.max_n)
+    d = signed_distance(inp.graph, _need(inp, "signs"), args.u, args.v,
+                        max_n=args.max_n)
     _emit(args, {"u": args.u, "v": args.v, "distance": d},
           [f"d({args.u},{args.v}) = {_fmt(d)}"])
     return 0
@@ -213,15 +202,14 @@ def _verdict_exit(args, label: str, tree: dict, verdict) -> int:
 
 def _cmd_check(args) -> int:
     inp = load_input(args.input)
-    signs = _need_signs(inp)
-    verdict = is_k_canceling_signing(inp.graph, signs, args.k,
+    verdict = is_k_canceling_signing(inp.graph, _need(inp, "signs"), args.k,
                                      max_n=args.max_n)
     return _verdict_exit(args, f"{args.k}-canceling", {"k": args.k}, verdict)
 
 
 def _cmd_check_colored(args) -> int:
     inp = load_input(args.input)
-    coloring = EdgeColoring(args.r, _need_colors(inp))
+    coloring = EdgeColoring(args.r, _need(inp, "colors"))
     verdict = is_rk_canceling_coloring(inp.graph, coloring, args.k,
                                        max_n=args.max_n)
     return _verdict_exit(args, f"({args.r},{args.k})-canceling",
@@ -243,64 +231,44 @@ def _cmd_filter(args) -> int:
     return 0 if report.passes else 1
 
 
-def _build_construction(name: str, params) -> SignedWitness:
-    def ints(count: int) -> list[int]:
-        if len(params) != count:
-            raise ValueError(f"{name} takes {count} parameter(s)")
-        return [int(p) for p in params]
+def _subdivide(source: str, edge: str, i: str) -> SignedWitness:
+    w = load_witness(source)
+    index = w.designated_edge if edge == "designated" else int(edge)
+    if index is None:
+        raise ValueError(f"{w.name} has no designated edge")
+    return subdivision_extend(w, index, int(i))
 
-    if name == "square-path":
-        return square_path_signing(*ints(1))
-    if name == "complete-cyclic":
-        return complete_cyclic_signing(*ints(1))
-    if name == "square-cycle":
-        return square_cycle_signing(*ints(1))
-    if name == "square-tree":
-        if len(params) != 1:
-            raise ValueError("square-tree takes one input source")
-        return square_tree_signing(load_input(params[0]).graph)
-    if name == "special":
-        if len(params) != 1:
-            raise ValueError("special takes one fixture tag")
-        return special_witness(params[0])
-    if name == "subdivide":
-        if len(params) != 3:
-            raise ValueError("subdivide takes SOURCE EDGE I")
-        w = load_witness(params[0])
-        edge = w.designated_edge if params[1] == "designated" \
-            else int(params[1])
-        if edge is None:
-            raise ValueError(f"{w.name} has no designated edge")
-        return subdivision_extend(w, edge, int(params[2]))
-    if name == "union":
-        if len(params) != 4:
-            raise ValueError("union takes SOURCE SOURCE V1 V2")
-        return union_signing(load_witness(params[0]),
-                             load_witness(params[1]),
-                             int(params[2]), int(params[3]))
-    if name == "bipartite-cliques":
-        if len(params) != 2:
-            raise ValueError("bipartite-cliques takes SOURCE K")
-        return bipartite_clique_signing(load_input(params[0]).graph,
-                                       int(params[1]))
-    if name == "blowup":
-        if len(params) < 3:
-            raise ValueError("blowup takes T K SIZE...")
-        return blowup_cycle_signing(int(params[0]),
-                                    [int(p) for p in params[2:]],
-                                    int(params[1]))
-    if name == "complete-rk":
-        return complete_rk_coloring(*ints(3))
-    raise ValueError(f"unknown construction {name!r}")
+
+# construct NAME -> (the usage of its parameters, a builder called with
+# them as strings); a usage ending in "..." repeats its last word once
+# or more
+CONSTRUCTIONS = {
+    "square-path": ("N", lambda n: square_path_signing(int(n))),
+    "complete-cyclic": ("N", lambda n: complete_cyclic_signing(int(n))),
+    "square-tree": ("SOURCE", lambda source: (
+        square_tree_signing(load_input(source).graph))),
+    "square-cycle": ("N", lambda n: square_cycle_signing(int(n))),
+    "special": ("TAG", special_witness),
+    "subdivide": ("SOURCE EDGE I", _subdivide),
+    "union": ("SOURCE SOURCE V1 V2", lambda a, b, v1, v2: union_signing(
+        load_witness(a), load_witness(b), int(v1), int(v2))),
+    "bipartite-cliques": ("SOURCE K", lambda source, k: (
+        bipartite_clique_signing(load_input(source).graph, int(k)))),
+    "blowup": ("T K SIZE...", lambda t, k, *sizes: blowup_cycle_signing(
+        int(t), [int(size) for size in sizes], int(k))),
+    "complete-rk": ("N R K", lambda n, r, k: complete_rk_coloring(
+        int(n), int(r), int(k))),
+}
 
 
 def _cmd_construct(args) -> int:
-    w = _build_construction(args.name, args.params)
-    text = emit_witness(w)
-    sys.stdout.write(text)
-    if args.emit_witness:
-        with open(args.emit_witness, "w") as fh:
-            fh.write(text)
+    usage, build = CONSTRUCTIONS[args.name]
+    count, words = len(args.params), len(usage.split())
+    if count < words or count > words and not usage.endswith("..."):
+        raise ValueError(f"{args.name} takes {usage}")
+    w = build(*args.params)
+    sys.stdout.write(emit_witness(w))
+    _save_witness(args, w)
     return 0
 
 
@@ -320,12 +288,9 @@ def _cmd_search(args) -> int:
         lines = [f"found a {args.k}-canceling signing after "
                  f"{result.examined} candidate(s)",
                  f"signs: {signs}"]
-        if args.emit_witness:
-            w = SignedWitness("search-result", inp.graph,
-                              Claim("k-canceling", k=args.k),
-                              signing=result.witness)
-            with open(args.emit_witness, "w") as fh:
-                fh.write(emit_witness(w))
+        _save_witness(args, SignedWitness(
+            "search-result", inp.graph, Claim("k-canceling", k=args.k),
+            signing=result.witness))
     elif result.filtered:
         lines = ["no signing: necessary conditions already fail"]
     else:
@@ -366,34 +331,26 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    if args.conjecture == "sandwich":
-        report = verify_tree_sandwich(args.n, workers=args.threads)
-        ok = report.lower_holds and report.upper_holds
-        lines = [
-            f"n={args.n}: lower bound "
-            f"{'holds' if report.lower_holds else 'fails'}, upper bound "
-            f"{'holds' if report.upper_holds else 'fails'}",
-            f"anchors: alternating path {report.alternating_anchor}, "
-            f"classical path {report.classical_anchor}",
-            f"checked {report.trees_checked} trees, "
-            f"{report.signings_checked} signings",
-        ]
+    sandwich = args.conjecture == "sandwich"
+    verify = verify_tree_sandwich if sandwich else verify_double_star
+    report = verify(args.n, workers=args.threads)
+    lines = [f"n={args.n}: lower bound "
+             f"{'holds' if report.lower_holds else 'fails'}, upper bound "
+             f"{'holds' if report.upper_holds else 'fails'}"]
+    if sandwich:
+        lines += [f"anchors: alternating path {report.alternating_anchor}, "
+                  f"classical path {report.classical_anchor}",
+                  f"checked {report.trees_checked} trees, "
+                  f"{report.signings_checked} signings"]
     else:
-        report = verify_double_star(args.n, workers=args.threads)
-        ok = report.lower_holds and report.upper_holds
         a, b = report.best_double_star
-        lines = [
-            f"n={args.n}: lower bound "
-            f"{'holds' if report.lower_holds else 'fails'}, upper bound "
-            f"{'holds' if report.upper_holds else 'fails'}",
-            f"path value {report.path_value}, best double star "
-            f"D({a},{b}) value {report.best_double_star_value}, "
-            f"star value {report.star_value}",
-            f"star-only upper bound "
-            f"{'holds' if report.star_only_upper_holds else 'fails'}",
-        ]
+        lines += [f"path value {report.path_value}, best double star "
+                  f"D({a},{b}) value {report.best_double_star_value}, "
+                  f"star value {report.star_value}",
+                  f"star-only upper bound "
+                  f"{'holds' if report.star_only_upper_holds else 'fails'}"]
     _emit(args, as_tree(report), lines)
-    return 0 if ok else 1
+    return 0 if report.lower_holds and report.upper_holds else 1
 
 
 def _cmd_dyck(args) -> int:
@@ -410,8 +367,8 @@ def _cmd_dyck(args) -> int:
 def _cmd_soltes(args) -> int:
     inp = load_input(args.input)
     if args.signed:
-        signs = _need_signs(inp)
-        report = soltes_check_signed(inp.graph, signs, max_n=args.max_n)
+        report = soltes_check_signed(inp.graph, _need(inp, "signs"),
+                                     max_n=args.max_n)
     else:
         report = soltes_check_classical(inp.graph)
     lines = [f"W = {_fmt(report.base)}"]
@@ -465,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                   help="override the vertex-count size guard")
     max_edges = _flag("--max-edges", type=int, default=None,
                       help="override the exhaustive-search width guard")
+    graph = _flag("input", help="graph: file, '-', family:NAME:P1,P2,..., "
+                                "or fixture:TAG")
+    k = _flag("--k", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="signedwiener",
@@ -479,58 +439,47 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("dist", _cmd_dist, "signed distance between two vertices",
-            max_n)
-    p.add_argument("input", help="signed graph: file, '-', or fixture:TAG")
+            max_n, graph)
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
 
     p = add("wiener", _cmd_wiener, "signed or classical wiener index",
-            max_n)
-    p.add_argument("input")
+            max_n, graph)
     p.add_argument("--classical", action="store_true",
                    help="ignore signs and use hop distances")
 
-    p = add("check", _cmd_check, "verify a k-canceling signing", max_n)
-    p.add_argument("input")
-    p.add_argument("--k", type=int, required=True)
+    add("check", _cmd_check, "verify a k-canceling signing", max_n, graph, k)
 
-    p = add("check-colored", _cmd_check_colored,
-            "verify an (r,k)-canceling coloring", max_n)
-    p.add_argument("input")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    # --r goes in as a parent, ahead of --k, to keep the usage line's order
+    add("check-colored", _cmd_check_colored,
+        "verify an (r,k)-canceling coloring", max_n, graph,
+        _flag("--r", type=int, required=True), k)
 
     p = add("filter", _cmd_filter,
-            "structural conditions necessary for k-canceling")
-    p.add_argument("input")
+            "structural conditions necessary for k-canceling", graph)
     p.add_argument("--k", type=int, default=1)
 
     p = add("construct", _cmd_construct,
             "emit a named witness in the fixture format")
-    p.add_argument("name", choices=CONSTRUCT_NAMES, metavar="NAME")
+    p.add_argument("name", choices=CONSTRUCTIONS, metavar="NAME")
     p.add_argument("params", nargs="*", metavar="PARAM")
     p.add_argument("--emit-witness", metavar="FILE",
                    help="also write the witness to FILE")
 
     p = add("search", _cmd_search, "find a k-canceling signing",
-            max_n, max_edges)
-    p.add_argument("input")
-    p.add_argument("--k", type=int, required=True)
+            max_n, max_edges, graph, k)
     p.add_argument("--no-filter", action="store_true",
                    help="skip the necessary-condition fast reject")
     p.add_argument("--emit-witness", metavar="FILE",
                    help="write any found witness to FILE")
 
-    p = add("min-wiener", _cmd_min_wiener,
-            "minimize the signed wiener index over signings",
-            max_n, max_edges)
-    p.add_argument("input")
+    add("min-wiener", _cmd_min_wiener,
+        "minimize the signed wiener index over signings",
+        max_n, max_edges, graph)
 
     p = add("threshold", _cmd_threshold,
             "per-n canceling verdicts for complete graphs",
-            threads, max_n, max_edges)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--k", type=int, required=True)
+            threads, max_n, max_edges, _flag("--r", type=int, default=2), k)
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
 
@@ -546,13 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("soltes", _cmd_soltes,
             "is the wiener index invariant under every vertex deletion",
-            max_n)
-    p.add_argument("input")
+            max_n, graph)
     p.add_argument("--signed", action="store_true",
                    help="use the input's signs instead of hop distances")
 
     p = add("reproduce", _cmd_reproduce, "run a named verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES, metavar="SUITE")
+    p.add_argument("suite", choices=SUITES, metavar="SUITE")
 
     return parser
 

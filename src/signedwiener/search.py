@@ -53,6 +53,15 @@ DYCK_MAX_N = 8
 CONNECTED_ENUM_MAX_N = 6
 
 
+def candidate_bits(m: int, r: int = 2) -> int:
+    """The candidate bits the size guard counts for a scan over m
+    edges: m - 1 for signings (the first sign is fixed) and
+    ceil(m log2 r) for r-colorings, r > 2; never below 0."""
+    if r > 2:
+        return max(math.ceil(m * math.log2(r)), 0)
+    return max(m - 1, 0)
+
+
 def _check_bits(bits: int, max_bits: int | None, what: str) -> None:
     limit = DEFAULT_MAX_SEARCH_BITS if max_bits is None else max_bits
     if bits > limit:
@@ -134,7 +143,7 @@ def find_k_canceling_signing(g: Graph, k: int, *,
             f"k-canceling search needs n >= k+1 (n={g.n}, k={k})")
     if use_filter and not necessary_conditions(g, k).passes:
         return SearchResult(False, None, 0, 2, filtered=True)
-    _check_bits(max(g.m - 1, 0), max_bits, "signing search")
+    _check_bits(candidate_bits(g.m), max_bits, "signing search")
     hit, examined = _first_hit(
         map(Signing, _half_space_signings(g.m)),
         lambda sigma: is_k_canceling_signing(g, sigma, k, max_n=max_n).holds)
@@ -161,7 +170,7 @@ def min_signed_wiener(g: Graph, *,
     """
     if not is_connected(g):
         return MinWienerResult(INFINITE, None, 0)
-    _check_bits(max(g.m - 1, 0), max_bits, "signing scan")
+    _check_bits(candidate_bits(g.m), max_bits, "signing scan")
     floor = max(bipartite_lower_bound(g), leaf_lower_bound(g))
     best: int | float = INFINITE
     argmin = None
@@ -221,14 +230,12 @@ def _threshold_one(args) -> ThresholdRow:
         # has no cycle, so its one all-plus signing stands in
         probes = [complete_cyclic_signing(n).signing if n >= 3
                   else Signing((1,))]
-        bits = kn.m - 1
         space = _half_space_signings(kn.m)
         verdict = is_k_canceling_signing
     else:
         # the paper's coloring exists for k >= 2 on enough vertices
         probes = [complete_rk_coloring(n, r, k).coloring] \
             if k >= 2 and n >= 3 * (k - 1) * (r - 1) else []
-        bits = math.ceil(kn.m * math.log2(r))
         space = _surjective_growth_colorings(kn.m, r)
         verdict = is_rk_canceling_coloring
 
@@ -237,7 +244,8 @@ def _threshold_one(args) -> ThresholdRow:
 
     hit, examined = _first_hit(probes, holds)
     if hit is None:
-        _check_bits(bits, max_bits, f"threshold scan at n={n}")
+        _check_bits(candidate_bits(kn.m, r), max_bits,
+                    f"threshold scan at n={n}")
         table = _path_table(n, r, k, max_n=max_n)
         tags, swept = _first_hit(
             space, lambda tags: _table_holds(table, _color_masks(tags, r)))
@@ -563,16 +571,6 @@ def dyck_distribution(n: int) -> dict[int, int]:
 # small connected graphs
 
 
-def _pair_index(n: int):
-    pairs = []
-    index = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            index[(u, v)] = len(pairs)
-            pairs.append((u, v))
-    return pairs, index
-
-
 def _canonical_mask(n: int, mask: int, pairs) -> int:
     """The least edge mask of the graph over all n! relabelings.
 
@@ -624,19 +622,20 @@ def connected_graphs(n: int) -> list[Graph]:
             f"connected enumeration supports 1 <= n <= {CONNECTED_ENUM_MAX_N}")
     if n == 1:
         return [Graph(1, [])]
-    pairs, index = _pair_index(n)
+    kn = complete_graph(n)
+    pairs = kn.edges
     seen: dict[int, int] = {}
     for parent in connected_graphs(n - 1):
         base = 0
         for u, v in parent.edges:
-            base |= 1 << index[(u, v)]
+            base |= 1 << kn.edge_index(u, v)
         for subset in range(1, 1 << (n - 1)):
             mask = base
             s = subset
             while s:
                 w = (s & -s).bit_length() - 1
                 s &= s - 1
-                mask |= 1 << index[(w, n - 1)]
+                mask |= 1 << kn.edge_index(w, n - 1)
             key = _canonical_mask(n, mask, pairs)
             if key not in seen:
                 seen[key] = key

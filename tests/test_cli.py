@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from signedwiener.cli import load_input, load_witness, main
+from signedwiener.cli import CONSTRUCTIONS, load_input, load_witness, main
 from signedwiener.distances import signed_distance_row
 from signedwiener.graphs import (
     complete_bipartite_graph,
@@ -461,9 +461,8 @@ class TestConstruct:
         assert certify(parse_witness(out)).ok
 
     @pytest.mark.parametrize("argv, reason", [
-        (("construct", "special"), "special takes one fixture tag"),
-        (("construct", "special", "theta4", "c7sq"),
-         "special takes one fixture tag"),
+        (("construct", "special"), "special takes TAG"),
+        (("construct", "special", "theta4", "c7sq"), "special takes TAG"),
         (("construct", "subdivide", "theta4", "0"),
          "subdivide takes SOURCE EDGE I"),
         (("construct", "union", "theta4", "theta4", "4"),
@@ -475,6 +474,7 @@ class TestConstruct:
          "special-theta4 has no designated edge"),
         (("check-colored", "fixture:theta4", "--r", "2", "--k", "1"),
          "input special-theta4 carries no edge colors"),
+        (("construct", "square-path", "3", "4"), "square-path takes N"),
     ])
     def test_refusal_is_one_line(self, capsys, argv, reason):
         code, out, err = run_cli(capsys, *argv)
@@ -504,7 +504,7 @@ class TestConstruct:
     def test_bad_parameter_count(self, capsys):
         code, _, err = run_cli(capsys, "construct", "square-path")
         assert code == 2
-        assert "parameter" in err
+        assert err == "error: square-path takes N\n"
 
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -516,6 +516,26 @@ class TestConstruct:
                                "5", "3", "2")
         assert code == 2
         assert "needs n >= 6" in err
+
+
+class TestReadme:
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_quick_start_lines_exit_0(self, capsys, tmp_path, monkeypatch):
+        # in order and in one directory: a later line reads w.txt
+        block = self.TEXT.split("## Quick start (command line)")[1]
+        lines = [line.split("#")[0].split()
+                 for line in block.split("```")[1].splitlines()
+                 if line.startswith("signedwiener ")]
+        assert len(lines) == 9
+        monkeypatch.chdir(tmp_path)
+        for argv in lines:
+            assert main(argv[1:]) == 0, " ".join(argv)
+            capsys.readouterr()
+
+    def test_every_construction_is_listed_with_its_usage(self):
+        for name, (usage, _) in CONSTRUCTIONS.items():
+            assert f"`{name} {usage}`" in self.TEXT
 
 
 class TestStructuredOutput:

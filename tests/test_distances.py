@@ -555,6 +555,9 @@ class TestPairRows:
         pytest.param("alternating K_5,5", 25, 0, 0, id="alternating K_5,5"),
         pytest.param("square_cycle_signing(10)", 0, 10, 450,
                      id="square_cycle_signing(10)"),
+        # the sign budget's case: without its window, 21,112 states
+        pytest.param("K_10, edge (0,1) negative", 29, 16, 3895,
+                     id="K_10 one negative edge"),
     ])
     def test_wiener_rows_sweep_only_later_targets(self, monkeypatch, case,
                                                   value, sweeps, states):
@@ -564,6 +567,8 @@ class TestPairRows:
             "alternating K_5,5": self.alternating(
                 complete_bipartite_graph(5, 5)),
             "square_cycle_signing(10)": (w.graph, w.signing),
+            "K_10, edge (0,1) negative": (complete_graph(10),
+                                          (-1,) + (1,) * 44),
         }[case]
         assert self.count(monkeypatch, lambda: wiener_signed(g, signs)) \
             == (value, sweeps, states)

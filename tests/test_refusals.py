@@ -1,7 +1,7 @@
 """Every public query refuses a signing or coloring that does not fit
 its graph, and a vertex outside it, with one ValueError message per
-kind, before any size guard and before the u == v shortcut; an
-EdgeColoring refuses colors that are not integers."""
+kind, before any size guard and before the u == v shortcut; a
+Signing or EdgeColoring refuses values that are not integers."""
 
 import pytest
 
@@ -13,6 +13,7 @@ from signedwiener.canceling import (
 from signedwiener.cli import _cmd_dist, build_parser
 from signedwiener.distances import (
     EdgeColoring,
+    Signing,
     achievable_path_sums,
     canceling_path_witness,
     canceling_reach_row,
@@ -152,3 +153,18 @@ def test_non_integer_colors_are_refused(colors):
     with pytest.raises(ValueError) as exc:
         EdgeColoring(3, colors)
     assert str(exc.value) == "colors must be integers in 1..3"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Signing((True, -1)), "signs must be integers +1 or -1"),
+    (lambda: Signing((1.0, -1)), "signs must be integers +1 or -1"),
+    (lambda: EdgeColoring(3.0, (1, 2, 3)), "r must be an integer, got 3.0"),
+    (lambda: EdgeColoring(True, (1,)), "r must be an integer, got True"),
+], ids=["bool sign", "float sign", "float r", "bool r"])
+def test_non_integer_signs_and_r_are_refused(make, message):
+    # True and 1.0 equal 1, so a membership test alone admits them:
+    # a bool sign renders as true in kv output, and a float r fails
+    # later in the step table's shifts
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
