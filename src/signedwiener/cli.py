@@ -35,6 +35,7 @@ from .distances import (
 from .graphs import (
     Graph,
     GraphFormatError,
+    integer_param,
     make_family,
     parse_any,
 )
@@ -231,42 +232,48 @@ def _cmd_filter(args) -> int:
     return 0 if report.passes else 1
 
 
-def _subdivide(source: str, edge: str, i: str) -> SignedWitness:
+def _subdivide(source: str, edge: str, i: int) -> SignedWitness:
     w = load_witness(source)
-    index = w.designated_edge if edge == "designated" else int(edge)
+    index = (w.designated_edge if edge == "designated"
+             else integer_param("subdivide", "EDGE", edge))
     if index is None:
         raise ValueError(f"{w.name} has no designated edge")
-    return subdivision_extend(w, index, int(i))
+    return subdivision_extend(w, index, i)
 
 
 # construct NAME -> (the usage of its parameters, a builder called with
-# them as strings); a usage ending in "..." repeats its last word once
-# or more
+# them); a usage ending in "..." repeats its last word once or more.
+# A word of _TEXT_WORDS reaches the builder as given, every other word
+# as an integer.
+_TEXT_WORDS = ("SOURCE", "TAG", "EDGE")
 CONSTRUCTIONS = {
-    "square-path": ("N", lambda n: square_path_signing(int(n))),
-    "complete-cyclic": ("N", lambda n: complete_cyclic_signing(int(n))),
+    "square-path": ("N", square_path_signing),
+    "complete-cyclic": ("N", complete_cyclic_signing),
     "square-tree": ("SOURCE", lambda source: (
         square_tree_signing(load_input(source).graph))),
-    "square-cycle": ("N", lambda n: square_cycle_signing(int(n))),
+    "square-cycle": ("N", square_cycle_signing),
     "special": ("TAG", special_witness),
     "subdivide": ("SOURCE EDGE I", _subdivide),
     "union": ("SOURCE SOURCE V1 V2", lambda a, b, v1, v2: union_signing(
-        load_witness(a), load_witness(b), int(v1), int(v2))),
+        load_witness(a), load_witness(b), v1, v2)),
     "bipartite-cliques": ("SOURCE K", lambda source, k: (
-        bipartite_clique_signing(load_input(source).graph, int(k)))),
+        bipartite_clique_signing(load_input(source).graph, k))),
     "blowup": ("T K SIZE...", lambda t, k, *sizes: blowup_cycle_signing(
-        int(t), [int(size) for size in sizes], int(k))),
-    "complete-rk": ("N R K", lambda n, r, k: complete_rk_coloring(
-        int(n), int(r), int(k))),
+        t, list(sizes), k)),
+    "complete-rk": ("N R K", complete_rk_coloring),
 }
 
 
 def _cmd_construct(args) -> int:
     usage, build = CONSTRUCTIONS[args.name]
-    count, words = len(args.params), len(usage.split())
-    if count < words or count > words and not usage.endswith("..."):
+    words = usage.removesuffix("...").split()
+    count = len(args.params)
+    if count < len(words) or count > len(words) and not usage.endswith("..."):
         raise ValueError(f"{args.name} takes {usage}")
-    w = build(*args.params)
+    words += words[-1:] * (count - len(words))
+    w = build(*(text if word in _TEXT_WORDS
+                else integer_param(args.name, word, text)
+                for word, text in zip(words, args.params)))
     sys.stdout.write(emit_witness(w))
     _save_witness(args, w)
     return 0

@@ -11,8 +11,11 @@ edge counts written as the base-(q+1) digits of i, with
 q = (n-1) // r: no canceling path uses a color more than q times, so
 prefixes that do are dropped.  A signed distance row settles each
 target it can on a floor path, before and during one sweep, and stops
-at proven floors; signed_distance_row states its rules.  The rows over
-one signing share one setup, built once.
+at proven floors; signed_distance_row states its rules.  A count-table
+row with r >= 3 and q >= 2 settles, before any sweep, every target a
+rainbow path reaches (r edges, one of each color); canceling_reach_row
+states it.  The rows over one signing, and the count-table rows over
+one coloring, share one setup, built once.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -245,15 +248,66 @@ def _cancel_guard(n: int, r: int, max_n) -> None:
 
 
 def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
-    """Guard a canceling query that fits g and return its _adjacency
-    and unit: a path of length j*r cancels iff bit j*unit is set.  Two
-    colors run on the narrower signed table (color 1 as +1); every
-    other r on the count table."""
+    """Guard a canceling query that fits g and return its _adjacency,
+    its unit (a path of length j*r cancels iff bit j*unit is set) and
+    the per-color neighbour bitsets of _count_setup.  Two colors run on
+    the narrower signed table (color 1 as +1), with no bitsets (None);
+    every other r on the count table of _count_setup."""
     _cancel_guard(g.n, coloring.r, max_n)
     if coloring.r == 2:
-        return _adjacency(g, _signed_steps(coloring.colors)), 2
+        return _adjacency(g, _signed_steps(coloring.colors)), 2, None
+    return _count_setup(g, coloring)
+
+
+class _CountSetup(NamedTuple):
+    """What every count-table row over one (graph, coloring) shares."""
+
+    adj: list   # _adjacency over the count steps
+    unit: int   # as _count_steps'
+    nbrs: list  # per color c, per vertex, the bitset of its neighbours
+                # over color-c edges (color c at index c - 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _count_setup(g: Graph, coloring: EdgeColoring) -> _CountSetup:
+    """The count-table rows' setup, built once per coloring: one entry,
+    keyed by value, so the rows of one deletion set of a verdict share
+    it, and the next deletion set replaces it."""
     by_color, unit = _count_steps(g.n, coloring.r)
-    return _adjacency(g, [by_color[c - 1] for c in coloring.colors]), unit
+    nbrs = [[0] * g.n for _ in range(coloring.r)]
+    for (a, b), c in zip(g.edges, coloring.colors):
+        nbrs[c - 1][a] |= 1 << b
+        nbrs[c - 1][b] |= 1 << a
+    return _CountSetup(
+        _adjacency(g, [by_color[c - 1] for c in coloring.colors]), unit,
+        nbrs)
+
+
+def _rainbow_reach(nbrs, source: int, wanted: int) -> int:
+    """The bits of wanted that a simple path from source of r edges,
+    one of each color, reaches (r = len(nbrs)): every color-distinct
+    prefix of r - 1 edges, searched depth first over the neighbour
+    bitsets, adds its end's neighbours in the one color it has not
+    used, less its own vertices.  Stops once every bit is found."""
+    found = 0
+    # (end, vertex mask, bitset of the colors not yet used)
+    stack = [(source, 1 << source, (1 << len(nbrs)) - 1)]
+    while stack:
+        v, mask, free = stack.pop()
+        if not free & free - 1:
+            found |= nbrs[free.bit_length() - 1][v] & wanted & ~mask
+            if found == wanted:
+                break
+            continue
+        for c, by_vertex in enumerate(nbrs):
+            if free >> c & 1:
+                step = by_vertex[v] & ~mask
+                while step:
+                    bit = step & -step
+                    step ^= bit
+                    stack.append((bit.bit_length() - 1, mask | bit,
+                                  free ^ 1 << c))
+    return found
 
 
 def _first_path(adj, u: int, v: int, wanted):
@@ -586,8 +640,9 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
     """Signed distance plus a path attaining it (None when INFINITE).
 
     The path is the shortest attaining |sum| = d, with sum +d before
-    -d, then as canceling_path_witness picks.  Keeps every DP level in
-    memory for the backward walk, so it is costlier than
+    -d, then as canceling_path_witness picks.  A path of one or two
+    edges is read off the neighbour bitsets; a longer one keeps every
+    DP level in memory for the backward walk, so it is costlier than
     signed_distance; intended for certificate output.
     """
     sigma = as_signing(signing)
@@ -596,11 +651,30 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
         return d, None
     if u == v:
         return 0, PathWitness((u,), (), (0, 0))
+    setup = _signed_setup(g, tuple(sigma.signs))
     # a length-L path with sum s sets bit L + s
-    path = _first_path(_signed_setup(g, tuple(sigma.signs)).adj, u, v,
-                       lambda length: (length + d, length - d)
-                       if length >= d else ())
+    path = _short_witness(setup.plus, setup.minus, u, v, d) or _first_path(
+        setup.adj, u, v,
+        lambda length: (length + d, length - d) if length >= d else ())
     return d, PathWitness.from_vertices(g, path, sigma.as_coloring())
+
+
+def _short_witness(plus, minus, u: int, v: int, d: int):
+    """The path _first_path picks for signed distance d from u to v
+    when a path of one or two edges attains d, else None.  No shorter
+    path can, so the pick is the edge uv for d = 1, and for d = 0 or 2
+    the path u-w-v with the least w, i.e. the least vertex mask: over
+    the mixed pairs for d = 0, over the positive pairs for d = 2 and,
+    only if there are none, the negative ones, as +d comes before -d."""
+    if d == 1:
+        return (u, v) if (plus[u] | minus[u]) >> v & 1 else None
+    if d == 0:
+        mids = plus[u] & minus[v] | minus[u] & plus[v]
+    elif d == 2:
+        mids = plus[u] & plus[v] or minus[u] & minus[v]
+    else:
+        return None
+    return (u, (mids & -mids).bit_length() - 1, v) if mids else None
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +690,37 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
     targets reads False.  As in signed_distance_row, targets names the
     answers the caller reads: a reversed path keeps its color counts,
     so a caller checking unordered pairs asks row u only for v > u.
-    As in the signed row, the targets not yet reached form todo, and
-    the sweep ends once a level of length divisible by r empties it.
+    The targets not yet reached form todo, settled by these rules:
+
+    - Rainbow paths.  For r >= 3 and a count cap q = (n-1) // r of at
+      least 2, before any sweep, every target that a simple path of r
+      edges with one edge of each color reaches is reached (that path
+      cancels), read off each vertex's per-color neighbour bitsets; a
+      row with no target left runs no sweep.  With q = 1 the sweep to
+      level r is that same search, and two colors keep the signed
+      table's sweep alone.
+    - Sweep.  One DP sweep serves the rest, and ends once a level of
+      length divisible by r empties todo.
+
+    For r != 2 the adjacency, its unit and the neighbour bitsets are
+    built once per (graph, coloring) and shared by every row over it.
     """
     targets = range(g.n) if targets is None else tuple(targets)
     check_fit(g, coloring, source, *targets)
-    adj, unit = _cancel_table(g, coloring, max_n)
+    adj, unit, nbrs = _cancel_table(g, coloring, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
     todo = set(targets)
     todo.discard(source)
+    if r > 2 and (g.n - 1) // r >= 2 and todo:
+        found = _rainbow_reach(nbrs, source, sum(1 << t for t in todo))
+        for t in list(todo):
+            if found >> t & 1:
+                reach[t] = True
+                todo.discard(t)
+        if not todo:
+            return reach
     for length, level in enumerate(_levels(adj, source)):
         if length % r:
             continue
@@ -651,7 +745,7 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
     check_fit(g, coloring, u, v)
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
-    adj, unit = _cancel_table(g, coloring, max_n)
+    adj, unit, _ = _cancel_table(g, coloring, max_n)
     r = coloring.r
     path = _first_path(adj, u, v, lambda length: () if length % r
                        else (length // r * unit,))

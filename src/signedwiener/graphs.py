@@ -27,10 +27,12 @@ class Graph:
 
     Edges are stored as (min, max) pairs in their construction order.
     Instances are immutable and hashable; equality compares the vertex
-    count and the ordered edge list.
+    count and the ordered edge list.  The hash is computed on first use
+    and kept, so the setups that the path engine caches by graph look
+    it up in O(1).
     """
 
-    __slots__ = ("n", "edges", "_index", "_nbrs")
+    __slots__ = ("n", "edges", "_index", "_nbrs", "_hash")
 
     def __init__(self, n: int, edges) -> None:
         if n < 0:
@@ -54,6 +56,7 @@ class Graph:
         self.edges = tuple(norm)
         self._index = index
         self._nbrs = tuple(tuple(a) for a in nbrs)
+        self._hash = None
 
     @property
     def m(self) -> int:
@@ -78,7 +81,9 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -333,13 +338,28 @@ def theta_graph(lengths) -> Graph:
     return Graph(nxt, edges)
 
 
+# family NAME -> (its builder, the usage of its parameters); a usage
+# ending in "..." takes one or more of its word, passed as one list
 _FAMILIES = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "star": (star_graph, 1),
-    "complete": (complete_graph, 1),
-    "complete-bipartite": (complete_bipartite_graph, 2),
+    "path": (path_graph, "N"),
+    "cycle": (cycle_graph, "N"),
+    "star": (star_graph, "N"),
+    "complete": (complete_graph, "N"),
+    "complete-bipartite": (complete_bipartite_graph, "A B"),
+    "blowup": (blowup_cycle_graph, "SIZE..."),
+    "theta": (theta_graph, "LENGTH..."),
 }
+
+
+def integer_param(owner: str, word: str, text) -> int:
+    """text, the parameter that owner's usage calls word, as an int;
+    else a ValueError naming both, as in "family star: N must be an
+    integer, got ''"."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{owner}: {word} must be an integer, "
+                         f"got {text!r}") from None
 
 
 def make_family(family: str, params) -> Graph:
@@ -348,20 +368,22 @@ def make_family(family: str, params) -> Graph:
     Args:
         family: one of path, cycle, star, complete, complete-bipartite,
             blowup, theta.
-        params: integer parameters; blowup takes part sizes of the base
-            odd-or-even cycle C_t with t = len(params), theta takes path
-            lengths.
+        params: integer parameters (or their decimal strings); blowup
+            takes part sizes of the base odd-or-even cycle C_t with
+            t = len(params), theta takes path lengths.
     """
-    params = tuple(int(p) for p in params)
-    if family == "blowup":
-        return blowup_cycle_graph(params)
-    if family == "theta":
-        return theta_graph(params)
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    fn, arity = _FAMILIES[family]
-    if len(params) != arity:
-        raise ValueError(f"family {family} takes {arity} parameter(s)")
+    fn, usage = _FAMILIES[family]
+    words = usage.removesuffix("...").split()
+    # a surplus parameter is named by the last word
+    params = [integer_param(f"family {family}",
+                            words[min(i, len(words) - 1)], p)
+              for i, p in enumerate(params)]
+    if usage.endswith("..."):
+        return fn(params)
+    if len(params) != len(words):
+        raise ValueError(f"family {family} takes {len(words)} parameter(s)")
     return fn(*params)
 
 

@@ -84,6 +84,34 @@ def canceling_path_exists(n, edges, colors, r, u, v):
     return next(canceling_paths(n, edges, colors, r, u, v), None) is not None
 
 
+def canceling_row(n, edges, colors, r, u):
+    """Per vertex v, whether some simple uv-path uses every color in
+    1..r equally: one walk over every simple path from u, counting
+    colors as it goes (u reads True, by the empty path)."""
+    adj = [[] for _ in range(n)]
+    for (a, b), c in zip(edges, colors):
+        adj[a].append((b, c - 1))
+        adj[b].append((a, c - 1))
+    reach = [False] * n
+    counts = [0] * r
+    on_path = [False] * n
+    on_path[u] = True
+
+    def walk(cur):
+        if len(set(counts)) == 1:
+            reach[cur] = True
+        for w, c in adj[cur]:
+            if not on_path[w]:
+                on_path[w] = True
+                counts[c] += 1
+                walk(w)
+                counts[c] -= 1
+                on_path[w] = False
+
+    walk(u)
+    return reach
+
+
 def restrict(n, edges, tags, dead):
     """Induced subgraph after deleting `dead`, with tags restricted."""
     keep = [v for v in range(n) if v not in dead]

@@ -3,6 +3,7 @@
 import pickle
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -76,6 +77,51 @@ def colored_cases(seed, trials):
     for r, q in ((3, 1), (3, 2), (4, 1), (5, 1), (6, 1)):
         for g in (path_graph(q * r + 1), cycle_graph(q * r + 1)):
             yield g, EdgeColoring(r, tuple(i % r + 1 for i in range(g.m)))
+
+
+def random_colorings(seed, trials):
+    """Random r-colorings, r in 3..5, on 3 to 9 vertices, most with
+    n >= 2r + 1 for r = 3 or 4, where the count cap q is 2, and some
+    with few colors used."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        r = rng.choice((3, 3, 4, 5))
+        n = rng.choice((rng.randint(3, 9), 2 * r + 1 if r < 5 else 9,
+                        9, 8, 7))
+        g = random_graph(rng, n, rng.choice((0.3, 0.4, 0.55)))
+        used = rng.choice((r, r, rng.randint(1, r)))
+        yield g, EdgeColoring(r, tuple(rng.randint(1, used)
+                                       for _ in range(g.m)))
+
+
+def naive_certificate(g, chi, k):
+    """The lex-first (D, u, v), in g's vertex ids, over the deletion
+    sets D of size min(k-1, n-2) and pairs u < v of g - D, with no
+    canceling uv-path in g - D, by tests/naive.py; None if none."""
+    for dead in combinations(range(g.n), max(min(k - 1, g.n - 2), 0)):
+        keep = [v for v in range(g.n) if v not in dead]
+        n, edges, colors = naive.restrict(g.n, g.edges, chi.colors,
+                                          set(dead))
+        for u in range(n):
+            row = naive.canceling_row(n, edges, colors, chi.r, u)
+            for v in range(u + 1, n):
+                if not row[v]:
+                    return dead, keep[u], keep[v]
+    return None
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The sources of the _levels sweeps started since last cleared."""
+    sources = []
+    sweep = distances._levels
+
+    def counted(adj, source, window=None):
+        sources.append(source)
+        return sweep(adj, source, window)
+
+    monkeypatch.setattr(distances, "_levels", counted)
+    return sources
 
 
 class TestSignedDistance:
@@ -203,6 +249,23 @@ class TestWitness:
                         key=lambda p: (len(p), sums[p] != d,
                                        sum(1 << x for x in p), p[::-1]))
 
+    def test_short_witnesses_start_no_sweep(self, sweeps):
+        # every pair of this K_{3,3} signing is at distance 0 or 1 by a
+        # path of at most two edges, and P_3's ends at 2 by both edges,
+        # so no distance and no witness sweeps; P_4's ends at 3 sweep
+        g = complete_bipartite_graph(3, 3)
+        signs = (1, -1, -1, 1, 1, -1, -1, 1, 1)
+        for u in range(g.n):
+            for v in range(g.n):
+                signed_distance_with_witness(g, signs, u, v)
+        for sign in (1, -1):
+            d, w = signed_distance_with_witness(path_graph(3), (sign,) * 2,
+                                                2, 0)
+            assert d == 2 and w.vertices == (2, 1, 0)
+        assert sweeps == []
+        d, w = signed_distance_with_witness(path_graph(4), (1, 1, 1), 0, 3)
+        assert d == 3 and w.vertices == (0, 1, 2, 3) and sweeps == [0]
+
     def test_empty_witness(self):
         g = path_graph(2)
         d, w = signed_distance_with_witness(g, (1,), 1, 1)
@@ -249,6 +312,19 @@ class TestCancelingPaths:
                 for v in range(g.n):
                     assert row[v] == naive.canceling_path_exists(
                         g.n, g.edges, chi.colors, chi.r, u, v)
+
+    def test_rows_and_verdicts_match_naive_for_r_3_to_5(self):
+        # every row, and one (r,k) verdict per coloring with its
+        # certificate, on colorings where most rows settle rainbow paths
+        for g, chi in random_colorings(83, 1000):
+            for u in range(g.n):
+                assert canceling_reach_row(g, chi, u) == naive.canceling_row(
+                    g.n, g.edges, chi.colors, chi.r, u), (g.edges, chi, u)
+            k = 1 + g.m % min(3, g.n - 1)
+            verdict = is_rk_canceling_coloring(g, chi, k)
+            assert verdict.certificate == naive_certificate(g, chi, k)
+            assert verdict.holds == naive.is_rk_canceling(
+                g.n, g.edges, chi.colors, chi.r, k)
 
     def test_rows_reject_out_of_range_source(self):
         g = path_graph(4)
@@ -544,7 +620,8 @@ class TestPairRows:
         verdict, sweeps, _ = self.count(
             monkeypatch,
             lambda: is_rk_canceling_coloring(w.graph, w.coloring, 2))
-        assert verdict.holds and sweeps == 48
+        # 48 sweeps before rows settled their rainbow paths first
+        assert verdict.holds and sweeps == 6
 
     @staticmethod
     def alternating(g):
@@ -582,19 +659,6 @@ class TestFloorPathRule:
     0), the paths read from tests/naive.py.  A right answer alone would
     not show a short floor path left to the sweep, nor a target
     settled with no such path."""
-
-    @pytest.fixture
-    def sweeps(self, monkeypatch):
-        """The sources of the _levels sweeps started since last cleared."""
-        sources = []
-        sweep = distances._levels
-
-        def counted(adj, source, window=None):
-            sources.append(source)
-            return sweep(adj, source, window)
-
-        monkeypatch.setattr(distances, "_levels", counted)
-        return sources
 
     @staticmethod
     def check(sweeps, g, signs):
@@ -650,6 +714,37 @@ class TestFloorPathRule:
             self.check(sweeps, *case)
 
         run()
+
+
+class TestRainbowRule:
+    """Work, not answers: a colored row asked for one target v != u
+    starts no _levels sweep exactly when r >= 3, the count cap
+    q = (n-1) // r is at least 2 and some simple uv-path of r edges
+    uses each color once, the paths read from tests/naive.py.  Two
+    colors run the signed table's sweep with no such rule."""
+
+    @staticmethod
+    def rainbow(g, chi, u, v):
+        lut = naive.edge_lookup(g.edges)
+        return any(len(p) == chi.r + 1 and sorted(
+            chi.colors[i] for i in naive.path_edge_indices(p, lut))
+            == list(range(1, chi.r + 1))
+            for p in naive.simple_paths(g.n, g.edges, u, v))
+
+    def test_random_colorings(self, sweeps):
+        sq, signs = square_path_signs(7)
+        cases = list(random_colorings(71, 120))
+        cases.append((sq, Signing(signs).as_coloring()))
+        for g, chi in cases:
+            rule = chi.r >= 3 and (g.n - 1) // chi.r >= 2
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u != v:
+                        sweeps.clear()
+                        canceling_reach_row(g, chi, u, targets=(v,))
+                        assert bool(sweeps) != (
+                            rule and self.rainbow(g, chi, u, v)), (
+                            g.edges, chi, u, v)
 
 
 class TestAchievableSums:

@@ -1,6 +1,7 @@
 """Representation, parsing, families, and structural predicates."""
 
 import math
+import pickle
 from itertools import combinations
 
 import networkx as nx
@@ -27,6 +28,7 @@ from signedwiener.graphs import (
     theta_graph,
     union_at_vertex,
 )
+from signedwiener.search import _pool_map
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -63,6 +65,20 @@ class TestGraphBasics:
         c = Graph(3, [(1, 2), (0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != c
+        # the kept hash is the value hash, on first use and after
+        for g in (a, c, complete_graph(5)):
+            assert hash(g) == hash(g) == hash((g.n, g.edges))
+
+    def test_graphs_pickle_to_worker_processes(self):
+        # one graph goes with its hash kept, one before its first hash;
+        # each hashes and compares the same on both sides
+        graphs = [cycle_graph(5), complete_graph(4)]
+        hash(graphs[0])
+        assert _pool_map(hash, graphs, 2) == [hash((g.n, g.edges))
+                                              for g in graphs]
+        for g in graphs:
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and hash(back) == hash(g)
 
 
 class TestFamilies:

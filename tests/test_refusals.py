@@ -1,7 +1,8 @@
 """Every public query refuses a signing or coloring that does not fit
 its graph, and a vertex outside it, with one ValueError message per
 kind, before any size guard and before the u == v shortcut; a
-Signing or EdgeColoring refuses values that are not integers."""
+Signing or EdgeColoring refuses values that are not integers, and the
+command line refuses a non-integer parameter by its usage word."""
 
 import pytest
 
@@ -10,7 +11,7 @@ from signedwiener.canceling import (
     is_rk_canceling_coloring,
     soltes_check_signed,
 )
-from signedwiener.cli import _cmd_dist, build_parser
+from signedwiener.cli import _cmd_dist, build_parser, main
 from signedwiener.distances import (
     EdgeColoring,
     Signing,
@@ -168,3 +169,41 @@ def test_non_integer_signs_and_r_are_refused(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "square-path", "x"),
+     "square-path: N must be an integer, got 'x'"),
+    (("construct", "complete-cyclic", "6.0"),
+     "complete-cyclic: N must be an integer, got '6.0'"),
+    (("construct", "square-cycle", ""),
+     "square-cycle: N must be an integer, got ''"),
+    (("construct", "subdivide", "theta4", "e", "1"),
+     "subdivide: EDGE must be an integer, got 'e'"),
+    (("construct", "subdivide", "theta4", "designated", "i"),
+     "subdivide: I must be an integer, got 'i'"),
+    (("construct", "union", "theta4", "theta4", "0", "v"),
+     "union: V2 must be an integer, got 'v'"),
+    (("construct", "bipartite-cliques", "family:complete-bipartite:3,3",
+      "two"), "bipartite-cliques: K must be an integer, got 'two'"),
+    # the first bad word is named, not a later one
+    (("construct", "blowup", "1", "x", "y"),
+     "blowup: K must be an integer, got 'x'"),
+    (("construct", "blowup", "1", "1", "2", "z"),
+     "blowup: SIZE must be an integer, got 'z'"),
+    (("construct", "complete-rk", "8", "r", "2"),
+     "complete-rk: R must be an integer, got 'r'"),
+    (("wiener", "family:star:4,"), "family star: N must be an integer, got ''"),
+    (("wiener", "family:cycle:x"),
+     "family cycle: N must be an integer, got 'x'"),
+    (("wiener", "family:complete-bipartite:2,b"),
+     "family complete-bipartite: B must be an integer, got 'b'"),
+    (("wiener", "family:theta:2,,3"),
+     "family theta: LENGTH must be an integer, got ''"),
+    (("wiener", "family:blowup:2,2,s"),
+     "family blowup: SIZE must be an integer, got 's'"),
+])
+def test_non_integer_parameters_are_refused_by_name(capsys, argv, message):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
