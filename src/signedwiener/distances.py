@@ -14,8 +14,12 @@ target it can on a floor path, before and during one sweep, and stops
 at proven floors; signed_distance_row states its rules.  A count-table
 row with r >= 3 and q >= 2 settles, before any sweep, every target a
 rainbow path reaches (r edges, one of each color); canceling_reach_row
-states it.  The rows over one signing, and the count-table rows over
-one coloring, share one setup, built once.
+states it.  Every cached row reads one setup, keyed by (graph, edge
+tags, r): the adjacency over its step table, the unit, per sign or
+color the neighbour bitsets and the edge count, the signed rows'
+target paths and, for a signing, its graph's component sides, which
+are kept per graph.  Two-color canceling rows alone build their
+adjacency per row.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -33,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import Graph, bfs_distances, component_sides
+from .graphs import Graph, bfs_distances, component_sides, require_int
 
 INFINITE = math.inf
 
@@ -118,9 +122,10 @@ def as_signing(signing) -> Signing:
 
 def check_fit(g: Graph, tagged, *vertices: int) -> None:
     """Refuse a Signing or EdgeColoring whose entry count is not g's
-    edge count, then any of vertices outside g.  Two colors are named
-    a signing, as the engine runs them.  Every public query on a
-    signing, a coloring or vertices calls this before its size guard."""
+    edge count, then any of vertices that is not an int or lies
+    outside g.  Two colors are named a signing, as the engine runs
+    them.  Every public query on a signing, a coloring or vertices
+    calls this before its size guard."""
     if isinstance(tagged, Signing):
         what, count = "signing", len(tagged.signs)
     else:
@@ -129,7 +134,8 @@ def check_fit(g: Graph, tagged, *vertices: int) -> None:
     if count != g.m:
         raise ValueError(f"{what} has {count} entries for {g.m} edges")
     for v in vertices:
-        if not 0 <= v < g.n:
+        if type(v) is not int or not 0 <= v < g.n:
+            require_int("vertex", v)
             raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
 
 
@@ -214,12 +220,11 @@ def _levels(adj, source: int, window=None):
         level = nxt
 
 
-def _signed_steps(signs):
-    """Bit 2p marks a path with p positive edges, so a path of length L
-    has sum 2p - L and sums to zero exactly at bit L; keep = -1 caps
-    nothing.  An edge is positive where its entry is 1, so signs may
-    also be the colors of a two-coloring, color 1 read as +1."""
-    return [(-1, 2 if s == 1 else 0) for s in signs]
+# the signed table's step per slot: bit 2p marks a path with p positive
+# edges, so a path of length L has sum 2p - L and sums to zero exactly
+# at bit L; a + edge (slot 0) shifts by 2, a - edge (slot 1) by 0, and
+# keep = -1 caps nothing
+_SIGNED_STEPS = ((-1, 2), (-1, 0))
 
 
 def _count_steps(n: int, r: int):
@@ -250,37 +255,58 @@ def _cancel_guard(n: int, r: int, max_n) -> None:
 def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
     """Guard a canceling query that fits g and return its _adjacency,
     its unit (a path of length j*r cancels iff bit j*unit is set) and
-    the per-color neighbour bitsets of _count_setup.  Two colors run on
-    the narrower signed table (color 1 as +1), with no bitsets (None);
-    every other r on the count table of _count_setup."""
+    its per-color neighbour bitsets: _setup's for every r but two, and
+    for two colors the signed table (color 1 as +1) with no bitsets
+    (None)."""
     _cancel_guard(g.n, coloring.r, max_n)
     if coloring.r == 2:
-        return _adjacency(g, _signed_steps(coloring.colors)), 2, None
-    return _count_setup(g, coloring)
+        # built per row on purpose: most verdicts of an exhaustive
+        # search fail on their first row, where a cached setup costs
+        # more than it saves (through _setup, the seeded searches ran
+        # 12-19% slower)
+        return _adjacency(g, [_SIGNED_STEPS[c - 1]
+                              for c in coloring.colors]), 2, None
+    return _setup(g, coloring.colors, coloring.r)[:3]
 
 
-class _CountSetup(NamedTuple):
-    """What every count-table row over one (graph, coloring) shares."""
+class _Setup(NamedTuple):
+    """What every row over one (graph, edge tags, r) shares.  A slot
+    per sign or color: color c at c - 1, sign + at 0 and sign - at 1."""
 
-    adj: list   # _adjacency over the count steps
-    unit: int   # as _count_steps'
-    nbrs: list  # per color c, per vertex, the bitset of its neighbours
-                # over color-c edges (color c at index c - 1)
+    adj: list     # _adjacency over the signed steps (r = 2) or the
+                  # count steps (any other r)
+    unit: int     # a path of length j*r cancels iff bit j*unit is set
+    nbrs: list    # per slot, per vertex, the bitset of its neighbours
+                  # over the slot's edges
+    counts: list  # per slot, its edge count
+    halves: dict  # per target vertex, its _target_halves, built lazily
+                  # by the signed rows
+    sides: tuple  # for signings, _sides(g); otherwise None
 
 
 @functools.lru_cache(maxsize=1)
-def _count_setup(g: Graph, coloring: EdgeColoring) -> _CountSetup:
-    """The count-table rows' setup, built once per coloring: one entry,
-    keyed by value, so the rows of one deletion set of a verdict share
-    it, and the next deletion set replaces it."""
-    by_color, unit = _count_steps(g.n, coloring.r)
-    nbrs = [[0] * g.n for _ in range(coloring.r)]
-    for (a, b), c in zip(g.edges, coloring.colors):
-        nbrs[c - 1][a] |= 1 << b
-        nbrs[c - 1][b] |= 1 << a
-    return _CountSetup(
-        _adjacency(g, [by_color[c - 1] for c in coloring.colors]), unit,
-        nbrs)
+def _setup(g: Graph, tags: tuple, r: int) -> _Setup:
+    """The setup of the rows over g with edge tags: signs +1 and -1
+    with r = 2, or colors 1..r.  One entry, keyed by value, so the rows
+    of one wiener_signed and a pair query after them, or the count-table
+    rows of one deletion set of a verdict, build it once, and the next
+    key replaces it."""
+    slots = [t - 1 if t > 0 else 1 for t in tags]
+    steps, unit = (_SIGNED_STEPS, 2) if r == 2 else _count_steps(g.n, r)
+    nbrs = [[0] * g.n for _ in range(r)]
+    for (a, b), c in zip(g.edges, slots):
+        nbrs[c][a] |= 1 << b
+        nbrs[c][b] |= 1 << a
+    return _Setup(_adjacency(g, [steps[c] for c in slots]), unit, nbrs,
+                  [slots.count(c) for c in range(r)], {},
+                  _sides(g) if r == 2 else None)
+
+
+@functools.lru_cache(maxsize=1)
+def _sides(g: Graph) -> tuple:
+    """component_sides(g), kept for the last graph only, so that the
+    setups of every signing of one graph share it."""
+    return component_sides(g)
 
 
 def _rainbow_reach(nbrs, source: int, wanted: int) -> int:
@@ -355,36 +381,6 @@ def _min_abs_from_acc(acc: int, offset: int):
         if (acc >> (offset - d)) & 1 or (acc >> (offset + d)) & 1:
             return d
     raise AssertionError("nonzero bitset with no set bit")
-
-
-class _SignedSetup(NamedTuple):
-    """What every signed row over one (graph, signing) shares."""
-
-    adj: list     # _adjacency over the signed steps
-    plus: list    # per vertex, the bitset of its neighbours over + edges
-    minus: list   # the same over - edges
-    root: list    # root, side and odd: component_sides
-    side: list
-    odd: set
-    m_plus: int   # the edge count of each sign
-    m_minus: int
-    halves: dict  # per target vertex, its _target_halves, built lazily
-
-
-@functools.lru_cache(maxsize=1)
-def _signed_setup(g: Graph, signs: tuple) -> _SignedSetup:
-    """The signed rows' setup, built once per signing: one entry, keyed
-    by value, so wiener_signed's rows and a pair query after them share
-    it, and the next signing or graph replaces it."""
-    plus = [0] * g.n
-    minus = [0] * g.n
-    for (a, b), s in zip(g.edges, signs):
-        nbrs = plus if s == 1 else minus
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
-    m_plus = signs.count(1)
-    return _SignedSetup(_adjacency(g, _signed_steps(signs)), plus, minus,
-                        *component_sides(g), m_plus, len(signs) - m_plus, {})
 
 
 def _floor_path(plus, minus, u: int, t: int, floor: int) -> bool:
@@ -472,8 +468,8 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
     at unreachable ones), by the rules signed_distance_row states; B
     is the largest best over the targets still open.
     """
-    adj, plus, minus, root, side, odd, m_plus, m_minus, halves = \
-        _signed_setup(g, tuple(signs))
+    adj, _, (plus, minus), (m_plus, m_minus), halves, (root, side, odd) \
+        = _setup(g, tuple(signs), 2)
     n = g.n
     best = [INFINITE] * n
     best[source] = 0
@@ -583,11 +579,9 @@ def signed_distance_row(g: Graph, signing, source: int, *,
       target, so it is not extended.
 
     So only rows with a target above its floor, or whose floor paths
-    all have seven or more edges, sweep past level 3.  The adjacency,
-    the neighbour bitsets, the component sides and the targets' short
-    paths are built once per (graph, signing) and shared by every row
-    over it, the rows of one wiener_signed and a pair query after them
-    alike.
+    all have seven or more edges, sweep past level 3.  The rows over
+    one (graph, signing) share one setup, so the rows of one
+    wiener_signed and a pair query after them build it once.
     """
     sigma = as_signing(signing)
     targets = range(g.n) if targets is None else tuple(targets)
@@ -629,7 +623,7 @@ def achievable_path_sums(g: Graph, signing, u: int, v: int, *,
     offset = g.n - 1
     acc = 0
     for length, level in enumerate(
-            _levels(_adjacency(g, _signed_steps(sigma.signs)), u)):
+            _levels(_setup(g, tuple(sigma.signs), 2).adj, u)):
         for x in level.get(v, {}).values():
             acc |= x << offset - length
     return {b - offset for b in range(2 * offset + 1) if (acc >> b) & 1}
@@ -651,9 +645,9 @@ def signed_distance_with_witness(g: Graph, signing, u: int, v: int, *,
         return d, None
     if u == v:
         return 0, PathWitness((u,), (), (0, 0))
-    setup = _signed_setup(g, tuple(sigma.signs))
+    setup = _setup(g, tuple(sigma.signs), 2)
     # a length-L path with sum s sets bit L + s
-    path = _short_witness(setup.plus, setup.minus, u, v, d) or _first_path(
+    path = _short_witness(*setup.nbrs, u, v, d) or _first_path(
         setup.adj, u, v,
         lambda length: (length + d, length - d) if length >= d else ())
     return d, PathWitness.from_vertices(g, path, sigma.as_coloring())
@@ -702,8 +696,7 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
     - Sweep.  One DP sweep serves the rest, and ends once a level of
       length divisible by r empties todo.
 
-    For r != 2 the adjacency, its unit and the neighbour bitsets are
-    built once per (graph, coloring) and shared by every row over it.
+    For r != 2 the rows over one (graph, coloring) share one setup.
     """
     targets = range(g.n) if targets is None else tuple(targets)
     check_fit(g, coloring, source, *targets)

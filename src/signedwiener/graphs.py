@@ -213,6 +213,8 @@ def union_at_vertex(g1: Graph, g2: Graph, w1: int, w2: int) -> Graph:
     rest, in order, to n1, n1+1, ...  The edge list is g1's edges
     followed by g2's, so signings concatenate positionally.
     """
+    require_int("w1", w1)
+    require_int("w2", w2)
     if not 0 <= w1 < g1.n:
         raise ValueError("w1 out of range")
     if not 0 <= w2 < g2.n:
@@ -349,6 +351,13 @@ _FAMILIES = {
     "blowup": (blowup_cycle_graph, "SIZE..."),
     "theta": (theta_graph, "LENGTH..."),
 }
+
+
+def require_int(word: str, value) -> None:
+    """Refuse value, the argument that word names, unless it is an int
+    (a bool is not): 1.0 and True would pass a range check."""
+    if type(value) is not int:
+        raise ValueError(f"{word} must be an integer, got {value!r}")
 
 
 def integer_param(owner: str, word: str, text) -> int:

@@ -31,6 +31,7 @@ from .graphs import (
     is_connected,
     parse_any,
     path_graph,
+    require_int,
     square,
     structural_report,
     union_at_vertex,
@@ -264,6 +265,8 @@ def subdivision_extend(w: SignedWitness, e: int, i: int) -> SignedWitness:
     sweeps every simple path between e's endpoints that avoids e.  i=0
     is the identity.
     """
+    require_int("e", e)
+    require_int("i", i)
     if i < 0:
         raise ValueError("i must be >= 0")
     _require_zero_index(w, "subdivision")

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import naive
-from signedwiener import distances
+from signedwiener import canceling, distances
 from signedwiener.canceling import (
     is_k_canceling_signing,
     is_rk_canceling_coloring,
@@ -649,6 +649,57 @@ class TestPairRows:
         }[case]
         assert self.count(monkeypatch, lambda: wiener_signed(g, signs)) \
             == (value, sweeps, states)
+
+
+class TestSharedSetup:
+    """Work, not answers: the rows, witnesses and path sums over one
+    signing build one adjacency, the signings of one graph one set of
+    component sides, and an r = 3 verdict one setup per deletion set,
+    counted by wrapping what builds them."""
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        """The argument tuples of the calls to module's name from now
+        on, with the setup and sides caches emptied first."""
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        distances._setup.cache_clear()
+        distances._sides.cache_clear()
+        return calls
+
+    def test_path_sums_after_wiener_build_no_adjacency(self, monkeypatch):
+        w = square_cycle_signing(10)
+        builds = self.count(monkeypatch, distances, "_adjacency")
+        assert wiener_signed(w.graph, w.signing) == 0
+        assert len(builds) == 1
+        assert 0 in achievable_path_sums(w.graph, w.signing, 0, 5)
+        signed_distance_with_witness(w.graph, w.signing, 0, 5)
+        assert len(builds) == 1
+
+    def test_signings_of_one_graph_share_component_sides(self, monkeypatch):
+        g = cycle_graph(6)
+        sides = self.count(monkeypatch, distances, "component_sides")
+        assert wiener_signed(g, (1, -1) * 3) == 9
+        assert wiener_signed(g, (-1,) + (1,) * 5) == 17
+        assert len(sides) == 1
+
+    def test_r3_verdict_builds_one_setup_per_deletion_set(self,
+                                                           monkeypatch):
+        w = complete_rk_coloring(8, 3, 2)
+        builds = self.count(monkeypatch, distances, "_adjacency")
+        dead = self.count(monkeypatch, canceling, "delete_vertices")
+        rows = self.count(monkeypatch, canceling, "canceling_reach_row")
+        assert is_rk_canceling_coloring(w.graph, w.coloring, 2).holds
+        # 8 deletion sets of 7 rows each, of which the row of the last
+        # vertex is skipped; deleting 6 or 7 leaves equal graphs and
+        # colorings, so the cache keyed by value serves the last set
+        assert (len(dead), len(rows), len(builds)) == (8, 8 * 6, 7)
 
 
 class TestFloorPathRule:

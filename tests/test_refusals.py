@@ -1,8 +1,9 @@
 """Every public query refuses a signing or coloring that does not fit
 its graph, and a vertex outside it, with one ValueError message per
 kind, before any size guard and before the u == v shortcut; a
-Signing or EdgeColoring refuses values that are not integers, and the
-command line refuses a non-integer parameter by its usage word."""
+Signing or EdgeColoring refuses values that are not integers, as do
+the queries and constructions a vertex or edge that is not an int, and
+the command line refuses a non-integer parameter by its usage word."""
 
 import pytest
 
@@ -23,9 +24,9 @@ from signedwiener.distances import (
     signed_distance_with_witness,
     wiener_signed,
 )
-from signedwiener.graphs import complete_graph, path_graph
+from signedwiener.graphs import complete_graph, path_graph, union_at_vertex
 from signedwiener.search import tree_signed_wiener
-from signedwiener.witnesses import special_witness
+from signedwiener.witnesses import special_witness, subdivision_extend
 
 K4 = complete_graph(4)
 P4 = path_graph(4)
@@ -133,6 +134,50 @@ def test_out_of_range_target_is_refused(row, tags, bad):
     with pytest.raises(ValueError) as exc:
         row(K4, tags, 0, targets=(1, bad))
     assert str(exc.value) == f"vertex {bad} out of range 0..3"
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: signed_distance(K4, _signs(K4.m), 0, 1.0), 1.0),
+    (lambda: signed_distance(K4, _signs(K4.m), True, 2), True),
+    (lambda: signed_distance_row(K4, _signs(K4.m), 0, targets=("1",)), "1"),
+    (lambda: signed_distance_with_witness(K4, _signs(K4.m), 0, 2.0), 2.0),
+    (lambda: achievable_path_sums(K4, _signs(K4.m), 0, 2.0), 2.0),
+    (lambda: canceling_path_witness(K4, _colors(2)(K4.m), 0.0, 2), 0.0),
+    (lambda: canceling_path_witness(P4, _colors(3)(P4.m), 0, True), True),
+    (lambda: canceling_reach_row(K4, _colors(2)(K4.m), 0, targets=[2.0]),
+     2.0),
+    (lambda: canceling_reach_row(K4, _colors(3)(K4.m), "0"), "0"),
+], ids=["signed_distance-float", "signed_distance-bool", "row-str",
+        "witness-float", "path_sums-float", "canceling_witness-r2-float",
+        "canceling_witness-r3-bool", "reach_row-r2-target-float",
+        "reach_row-r3-str"])
+def test_non_integer_vertex_is_refused(call, value):
+    # 2.0 and True equal 2 and 1, so a range check alone answers for
+    # those vertices, and a float index fails deep in the engine
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"vertex must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: union_at_vertex(K4, P4, 0.0, 1),
+     "w1 must be an integer, got 0.0"),
+    (lambda: union_at_vertex(K4, P4, 0, "1"),
+     "w2 must be an integer, got '1'"),
+    (lambda: union_at_vertex(K4, P4, True, 1),
+     "w1 must be an integer, got True"),
+    (lambda: subdivision_extend(special_witness("theta4"), 3.0, 1),
+     "e must be an integer, got 3.0"),
+    (lambda: subdivision_extend(special_witness("theta4"), True, 1),
+     "e must be an integer, got True"),
+    (lambda: subdivision_extend(special_witness("theta4"), 3, 1.0),
+     "i must be an integer, got 1.0"),
+], ids=["union-w1-float", "union-w2-str", "union-w1-bool",
+        "subdivide-e-float", "subdivide-e-bool", "subdivide-i-float"])
+def test_non_integer_glue_vertex_or_edge_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_checks_run_before_the_size_guard():
