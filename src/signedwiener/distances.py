@@ -17,9 +17,8 @@ rainbow path reaches (r edges, one of each color); canceling_reach_row
 states it.  Every cached row reads one setup, keyed by (graph, edge
 tags, r): the adjacency over its step table, the unit, per sign or
 color the neighbour bitsets and the edge count, the signed rows'
-target paths and, for a signing, its graph's component sides, which
-are kept per graph.  Two-color canceling rows alone build their
-adjacency per row.
+target paths and, for a signing, its graph's component sides.
+Two-color canceling rows alone build their adjacency per row.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
 callers over unordered pairs ask row u only for v > u.
@@ -105,8 +104,7 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.r) is not int:
-            raise ValueError(f"r must be an integer, got {self.r!r}")
+        require_int("r", self.r)
         if self.r < 1:
             raise ValueError("need at least one color")
         if any(type(c) is not int or not 1 <= c <= self.r
@@ -281,7 +279,7 @@ class _Setup(NamedTuple):
     counts: list  # per slot, its edge count
     halves: dict  # per target vertex, its _target_halves, built lazily
                   # by the signed rows
-    sides: tuple  # for signings, _sides(g); otherwise None
+    sides: tuple  # for signings, component_sides(g); otherwise None
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,14 +297,7 @@ def _setup(g: Graph, tags: tuple, r: int) -> _Setup:
         nbrs[c][b] |= 1 << a
     return _Setup(_adjacency(g, [steps[c] for c in slots]), unit, nbrs,
                   [slots.count(c) for c in range(r)], {},
-                  _sides(g) if r == 2 else None)
-
-
-@functools.lru_cache(maxsize=1)
-def _sides(g: Graph) -> tuple:
-    """component_sides(g), kept for the last graph only, so that the
-    setups of every signing of one graph share it."""
-    return component_sides(g)
+                  component_sides(g) if r == 2 else None)
 
 
 def _rainbow_reach(nbrs, source: int, wanted: int) -> int:

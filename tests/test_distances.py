@@ -653,14 +653,13 @@ class TestPairRows:
 
 class TestSharedSetup:
     """Work, not answers: the rows, witnesses and path sums over one
-    signing build one adjacency, the signings of one graph one set of
-    component sides, and an r = 3 verdict one setup per deletion set,
-    counted by wrapping what builds them."""
+    signing build one adjacency, and an r = 3 verdict one setup per
+    deletion set, counted by wrapping what builds them."""
 
     @staticmethod
     def count(monkeypatch, module, name):
         """The argument tuples of the calls to module's name from now
-        on, with the setup and sides caches emptied first."""
+        on, with the setup cache emptied first."""
         calls = []
         inner = getattr(module, name)
 
@@ -670,7 +669,6 @@ class TestSharedSetup:
 
         monkeypatch.setattr(module, name, counted)
         distances._setup.cache_clear()
-        distances._sides.cache_clear()
         return calls
 
     def test_path_sums_after_wiener_build_no_adjacency(self, monkeypatch):
@@ -681,13 +679,6 @@ class TestSharedSetup:
         assert 0 in achievable_path_sums(w.graph, w.signing, 0, 5)
         signed_distance_with_witness(w.graph, w.signing, 0, 5)
         assert len(builds) == 1
-
-    def test_signings_of_one_graph_share_component_sides(self, monkeypatch):
-        g = cycle_graph(6)
-        sides = self.count(monkeypatch, distances, "component_sides")
-        assert wiener_signed(g, (1, -1) * 3) == 9
-        assert wiener_signed(g, (-1,) + (1,) * 5) == 17
-        assert len(sides) == 1
 
     def test_r3_verdict_builds_one_setup_per_deletion_set(self,
                                                            monkeypatch):
