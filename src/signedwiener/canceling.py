@@ -27,9 +27,9 @@ from .graphs import (
     Graph,
     _deletion_size,
     complete_graph,
+    component_sides,
     delete_vertices,
     is_k_connected,
-    structural_report,
 )
 
 
@@ -61,7 +61,7 @@ def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
             host = sub.graph
             restricted = EdgeColoring(
                 coloring.r, tuple(coloring.colors[j] for j in sub.edge_refs))
-            back = {new: old for old, new in sub.vertex_map.items()}
+            back = list(sub.vertex_map)
         else:
             host, restricted, back = g, coloring, range(g.n)
         for u in range(host.n - 1):
@@ -165,7 +165,8 @@ class NecessaryReport:
     Passing is necessary, never sufficient.  The k=1 case asks for a
     connected graph with an odd cycle, minimum degree 2, and at least
     n+2 edges; general k raises these to k-connected, degree k+1, and
-    n + k(k-1)/2 + 2k edges.
+    n + k(k-1)/2 + 2k edges.  The last three fields are the verdicts
+    that necessary_conditions derives from the others.
     """
 
     k: int
@@ -175,19 +176,9 @@ class NecessaryReport:
     required_min_degree: int
     edge_count: int
     required_edges: int
-
-    @property
-    def min_degree_ok(self) -> bool:
-        return self.min_degree >= self.required_min_degree
-
-    @property
-    def edge_count_ok(self) -> bool:
-        return self.edge_count >= self.required_edges
-
-    @property
-    def passes(self) -> bool:
-        return (self.k_connected and self.has_odd_cycle
-                and self.min_degree_ok and self.edge_count_ok)
+    min_degree_ok: bool
+    edge_count_ok: bool
+    passes: bool
 
     def failures(self) -> list[str]:
         out = []
@@ -211,16 +202,19 @@ def necessary_conditions(g: Graph, k: int = 1) -> NecessaryReport:
     if g.n < max(2, k + 1):
         raise ValueError(
             f"necessary-condition filter needs n >= {max(2, k + 1)}")
-    report = structural_report(g)
+    k_connected = is_k_connected(g, k)
+    has_odd_cycle = bool(component_sides(g)[2])
+    min_degree = min(map(g.degree, range(g.n)))
+    required_edges = g.n + k * (k - 1) // 2 + 2 * k
+    min_degree_ok = min_degree >= k + 1
+    edge_count_ok = g.m >= required_edges
     return NecessaryReport(
-        k=k,
-        k_connected=is_k_connected(g, k),
-        has_odd_cycle=not report.bipartite,
-        min_degree=report.min_degree,
-        required_min_degree=k + 1,
-        edge_count=g.m,
-        required_edges=g.n + k * (k - 1) // 2 + 2 * k,
-    )
+        k=k, k_connected=k_connected, has_odd_cycle=has_odd_cycle,
+        min_degree=min_degree, required_min_degree=k + 1,
+        edge_count=g.m, required_edges=required_edges,
+        min_degree_ok=min_degree_ok, edge_count_ok=edge_count_ok,
+        passes=(k_connected and has_odd_cycle and min_degree_ok
+                and edge_count_ok))
 
 
 @dataclass(frozen=True)
@@ -230,9 +224,6 @@ class SoltesReport:
     holds: bool
     base: object
     deleted: tuple
-
-    def table(self) -> list[tuple[int, object]]:
-        return list(enumerate(self.deleted))
 
 
 def soltes_check_classical(g: Graph) -> SoltesReport:

@@ -220,15 +220,11 @@ def _cmd_check_colored(args) -> int:
 def _cmd_filter(args) -> int:
     inp = load_input(args.input)
     report = necessary_conditions(inp.graph, args.k)
-    tree = as_tree(report)
-    tree["min_degree_ok"] = report.min_degree_ok
-    tree["edge_count_ok"] = report.edge_count_ok
-    tree["passes"] = report.passes
     if report.passes:
         lines = ["passes all necessary conditions"]
     else:
         lines = ["fails: " + "; ".join(report.failures())]
-    _emit(args, tree, lines)
+    _emit(args, as_tree(report), lines)
     return 0 if report.passes else 1
 
 
@@ -379,7 +375,8 @@ def _cmd_soltes(args) -> int:
     else:
         report = soltes_check_classical(inp.graph)
     lines = [f"W = {_fmt(report.base)}"]
-    lines += [f"W(G-{v}) = {_fmt(value)}" for v, value in report.table()]
+    lines += [f"W(G-{v}) = {_fmt(value)}"
+              for v, value in enumerate(report.deleted)]
     lines.append("deletion-invariant: "
                  f"{'yes' if report.holds else 'no'}")
     _emit(args, as_tree(report), lines)

@@ -35,13 +35,17 @@ class Graph:
     __slots__ = ("n", "edges", "_index", "_nbrs", "_hash")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 0:
+        if type(n) is not int or n < 0:
+            require_int("vertex count", n)
             raise ValueError(f"vertex count must be >= 0, got {n}")
         norm: list[tuple[int, int]] = []
         index: dict[tuple[int, int], int] = {}
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (type(u) is int and type(v) is int
+                    and 0 <= u < n and 0 <= v < n):
+                require_int("vertex", u)
+                require_int("vertex", v)
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -93,9 +97,10 @@ class Graph:
 class DeletedGraph:
     """Induced subgraph G-S with index maps back to the host graph.
 
-    vertex_map sends surviving old indices to new ones; edge_refs[i] is
-    the old edge index of new edge i, so a signing restricts by
-    ``[signs[j] for j in edge_refs]``.
+    vertex_map sends surviving old indices to new ones, in increasing
+    order, so ``list(vertex_map)[i]`` is the old index of new vertex i;
+    edge_refs[i] is the old edge index of new edge i, so a signing
+    restricts by ``[signs[j] for j in edge_refs]``.
     """
 
     graph: Graph
@@ -105,9 +110,12 @@ class DeletedGraph:
 
 def delete_vertices(g: Graph, s) -> DeletedGraph:
     """Induced subgraph on V minus s, preserving surviving edge order."""
-    dead = set(s)
-    if not all(0 <= v < g.n for v in dead):
-        raise ValueError("deleted vertex out of range")
+    dead = set()
+    for v in s:
+        if type(v) is not int or not 0 <= v < g.n:
+            require_int("deleted vertex", v)
+            raise ValueError("deleted vertex out of range")
+        dead.add(v)
     keep = [v for v in range(g.n) if v not in dead]
     vmap = {v: i for i, v in enumerate(keep)}
     edges = []
@@ -153,33 +161,9 @@ def component_sides(g: Graph) -> tuple[list[int], list[int], set[int]]:
     return root, side, {root[a] for a, b in g.edges if side[a] == side[b]}
 
 
-@dataclass(frozen=True)
-class StructuralReport:
-    connected: bool
-    bipartite: bool
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-    min_degree: int
-
-
-def structural_report(g: Graph) -> StructuralReport:
-    """Connectivity, bipartiteness with the parts, and minimum degree,
-    from component_sides: each component's least vertex lies in
-    parts[0], and the graph is bipartite iff no component has an odd
-    cycle.
-    """
-    root, side, odd = component_sides(g)
-    parts = None if odd else tuple(
-        tuple(v for v in range(g.n) if side[v] == p) for p in (0, 1))
-    return StructuralReport(
-        connected=len(set(root)) <= 1,
-        bipartite=not odd,
-        parts=parts,
-        min_degree=min(map(g.degree, range(g.n)), default=0),
-    )
-
-
 def is_connected(g: Graph) -> bool:
-    return structural_report(g).connected
+    """True iff g has at most one component: every root is vertex 0."""
+    return not any(component_sides(g)[0])
 
 
 def _deletion_size(n: int, k: int) -> int:

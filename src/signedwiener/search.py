@@ -231,18 +231,13 @@ def _threshold_one(args) -> ThresholdRow:
         probes = [complete_cyclic_signing(n).signing if n >= 3
                   else Signing((1,))]
         space = _half_space_signings(kn.m)
-        verdict = is_k_canceling_signing
     else:
         # the paper's coloring exists for k >= 2 on enough vertices
         probes = [complete_rk_coloring(n, r, k).coloring] \
             if k >= 2 and n >= 3 * (k - 1) * (r - 1) else []
         space = _surjective_growth_colorings(kn.m, r)
-        verdict = is_rk_canceling_coloring
-
-    def holds(candidate) -> bool:
-        return verdict(kn, candidate, k, max_n=max_n).holds
-
-    hit, examined = _first_hit(probes, holds)
+    hit, examined = _first_hit(probes, lambda candidate: (
+        is_rk_canceling_coloring(kn, candidate, k, max_n=max_n).holds))
     if hit is None:
         _check_bits(candidate_bits(kn.m, r), max_bits,
                     f"threshold scan at n={n}")

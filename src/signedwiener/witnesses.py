@@ -26,6 +26,7 @@ from .graphs import (
     blowup_cycle_graph,
     blowup_parts,
     complete_graph,
+    component_sides,
     cycle_graph,
     emit_graph,
     is_connected,
@@ -33,7 +34,6 @@ from .graphs import (
     path_graph,
     require_int,
     square,
-    structural_report,
     union_at_vertex,
 )
 
@@ -310,15 +310,17 @@ def bipartite_clique_signing(gprime: Graph, k: int) -> SignedWitness:
     """Complete both sides of a bipartite graph into cliques: cross
     edges +, intra-part edges -; claims k-canceling.
 
-    Needs both parts of size >= k+2 and every vertex with >= k+1 cross
-    neighbors; violations name the offending part or vertex.
+    The parts are component_sides' sides, each component's least vertex
+    in U.  Needs both parts of size >= k+2 and every vertex with >= k+1
+    cross neighbors; violations name the offending part or vertex.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    parts = structural_report(gprime).parts
-    if parts is None:
+    _, side_of, odd = component_sides(gprime)
+    if odd:
         raise ValueError("graph is not bipartite")
-    side_u, side_v = parts
+    side_u, side_v = ([v for v in range(gprime.n) if side_of[v] == p]
+                      for p in (0, 1))
     for label, side in (("U", side_u), ("V", side_v)):
         if len(side) < k + 2:
             raise ValueError(

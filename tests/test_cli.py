@@ -572,6 +572,22 @@ class TestStructuredOutput:
         assert code == 1
         assert tree["passes"] is False and tree["edge_count"] == 11
 
+    @pytest.mark.parametrize("argv, code, out", [
+        (("family:cycle:11",), 1,
+         "k = 1\nk_connected = true\nhas_odd_cycle = true\n"
+         "min_degree = 2\nrequired_min_degree = 2\nedge_count = 11\n"
+         "required_edges = 13\nmin_degree_ok = true\n"
+         "edge_count_ok = false\npasses = false\n"),
+        (("family:complete:5", "--k", "2"), 0,
+         "k = 2\nk_connected = true\nhas_odd_cycle = true\n"
+         "min_degree = 4\nrequired_min_degree = 3\nedge_count = 10\n"
+         "required_edges = 10\nmin_degree_ok = true\n"
+         "edge_count_ok = true\npasses = true\n"),
+    ], ids=["cycle-11-fails", "complete-5-k2-passes"])
+    def test_filter_output(self, capsys, argv, code, out):
+        assert run_cli(capsys, "filter", *argv, "--format", "kv") == \
+            (code, out, "")
+
     def test_threads_keep_output(self, capsys):
         # N processes run the same scans in the same order
         for argv in (["threshold", "--k", "1", "--n-from", "2", "--n-to", "5"],

@@ -7,6 +7,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from signedwiener.canceling import necessary_conditions
 from signedwiener.graphs import (
     Graph,
     GraphFormatError,
@@ -14,6 +15,7 @@ from signedwiener.graphs import (
     blowup_cycle_graph,
     complete_bipartite_graph,
     complete_graph,
+    component_sides,
     cycle_graph,
     delete_vertices,
     emit_graph,
@@ -24,7 +26,6 @@ from signedwiener.graphs import (
     path_graph,
     square,
     star_graph,
-    structural_report,
     theta_graph,
     union_at_vertex,
 )
@@ -170,23 +171,23 @@ class TestDeletion:
 
 class TestStructure:
     def test_c6(self):
-        r = structural_report(cycle_graph(6))
-        assert r.connected and r.bipartite and r.min_degree == 2
+        g = cycle_graph(6)
+        assert is_connected(g) and not component_sides(g)[2]
+        assert necessary_conditions(g, 1).min_degree == 2
 
     def test_k4(self):
-        r = structural_report(complete_graph(4))
-        assert r.connected and not r.bipartite and r.parts is None
-        assert r.min_degree == 3
+        g = complete_graph(4)
+        assert is_connected(g) and component_sides(g)[2] == {0}
+        assert necessary_conditions(g, 1).min_degree == 3
 
     def test_star_leaves(self):
-        r = structural_report(star_graph(5))
-        assert r.min_degree == 1 and r.parts == ((0,), (1, 2, 3, 4))
+        g = star_graph(5)
+        assert component_sides(g)[1] == [0, 1, 1, 1, 1]
+        assert necessary_conditions(g, 1).min_degree == 1
 
     def test_bipartition_parts(self):
-        r = structural_report(complete_bipartite_graph(2, 3))
-        assert r.parts is not None
-        sizes = sorted(map(len, r.parts))
-        assert sizes == [2, 3]
+        root, side, odd = component_sides(complete_bipartite_graph(2, 3))
+        assert root == [0] * 5 and side == [0, 0, 1, 1, 1] and not odd
 
     def test_matches_networkx_on_random_graphs(self):
         import random
@@ -198,18 +199,17 @@ class TestStructure:
             edges = [e for e in pairs if rng.random() < 0.4]
             g = Graph(n, edges)
             h = to_nx(g)
-            r = structural_report(g)
-            assert r.connected == (n <= 1 or nx.is_connected(h))
-            assert r.bipartite == nx.is_bipartite(h)
-            assert (r.parts is None) == (not r.bipartite)
-            if r.parts is None:
+            root, side, odd = component_sides(g)
+            assert is_connected(g) == (n <= 1 or nx.is_connected(h))
+            assert (not odd) == nx.is_bipartite(h)
+            assert len(root) == len(side) == n and set(side) <= {0, 1}
+            for comp in nx.connected_components(h):
+                assert {root[v] for v in comp} == {min(comp)}
+                assert side[min(comp)] == 0
+            if odd:
                 continue
             bipartite += 1
-            side0, side1 = map(set, r.parts)
-            assert all((a in side0) != (b in side0) for a, b in g.edges)
-            assert sorted(r.parts[0] + r.parts[1]) == list(range(n))
-            assert all(min(comp) in side0
-                       for comp in nx.connected_components(h))
+            assert all(side[a] != side[b] for a, b in g.edges)
         assert bipartite >= 10
 
     def test_bfs_distances(self):

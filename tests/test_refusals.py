@@ -3,7 +3,8 @@ its graph, and a vertex outside it, with one ValueError message per
 kind, before any size guard and before the u == v shortcut; a
 Signing or EdgeColoring refuses values that are not integers, as do
 the queries and constructions a vertex or edge that is not an int, and
-the command line refuses a non-integer parameter by its usage word."""
+Graph and delete_vertices a vertex count or vertex that is not; the
+command line refuses a non-integer parameter by its usage word."""
 
 import pytest
 
@@ -24,7 +25,13 @@ from signedwiener.distances import (
     signed_distance_with_witness,
     wiener_signed,
 )
-from signedwiener.graphs import complete_graph, path_graph, union_at_vertex
+from signedwiener.graphs import (
+    Graph,
+    complete_graph,
+    delete_vertices,
+    path_graph,
+    union_at_vertex,
+)
 from signedwiener.search import tree_signed_wiener
 from signedwiener.witnesses import special_witness, subdivision_extend
 
@@ -175,6 +182,31 @@ def test_non_integer_vertex_is_refused(call, value):
 ], ids=["union-w1-float", "union-w2-str", "union-w1-bool",
         "subdivide-e-float", "subdivide-e-bool", "subdivide-i-float"])
 def test_non_integer_glue_vertex_or_edge_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(3, [(0, True), (1, 2)]),
+     "vertex must be an integer, got True"),
+    (lambda: Graph(3, [(0, 1.0)]), "vertex must be an integer, got 1.0"),
+    (lambda: Graph(3, [("0", 1)]), "vertex must be an integer, got '0'"),
+    (lambda: Graph(3.0, []), "vertex count must be an integer, got 3.0"),
+    (lambda: Graph(True, []), "vertex count must be an integer, got True"),
+    (lambda: delete_vertices(K4, (1.0,)),
+     "deleted vertex must be an integer, got 1.0"),
+    (lambda: delete_vertices(K4, (True,)),
+     "deleted vertex must be an integer, got True"),
+    # a set of the two holds only the int
+    (lambda: delete_vertices(K4, (1, 1.0)),
+     "deleted vertex must be an integer, got 1.0"),
+], ids=["endpoint-bool", "endpoint-float", "endpoint-str", "count-float",
+        "count-bool", "deleted-float", "deleted-bool", "deleted-int-float"])
+def test_non_integer_graph_vertex_is_refused(call, message):
+    # True and 1.0 equal 1, so a range check alone keeps True as an
+    # endpoint (which emit_graph then writes out), builds a graph with
+    # n == True, and deletes vertex 1 for 1.0
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message

@@ -188,12 +188,14 @@ RENDERED = {
 
 # sha256 of render_kv(as_tree(x)) for each instance above, as rendered
 # when as_tree still had its own Signing, EdgeColoring and PathWitness
-# branches: the generic dataclass branch must keep every byte
+# branches: the generic dataclass branch must keep every byte.  The
+# necessary report's three verdict flags are stored fields, so its
+# bytes are those `filter --format kv` printed before they were
 RENDERED_SHA256 = {
     "canceling-verdict":
         "f45593326255ef1e8b5f0a8da9a81e1da79919652a64dcc9b9c80ebcc2e13a76",
     "necessary-report":
-        "4f5c78b2d1fd281702060aafa5d70e8a9ca23b95f12e756f042bc183e526e8c6",
+        "9161059b596277087e9f480492083c42b9bdf3f85ccf34119e166ee52f635127",
     "search-result":
         "742bca799a2957dce18a6cbed6125b5e95ef909c079470cf305ab09c4f93e677",
     "min-wiener-result":
