@@ -22,6 +22,15 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
+class EdgeError(ValueError):
+    """Graph's refusal of one input edge.  Carries that edge's 0-based
+    position in the edge input, so a parser can name its line."""
+
+    def __init__(self, message: str, edge: int):
+        self.edge = edge
+        super().__init__(message)
+
+
 class Graph:
     """Simple undirected graph with an indexed edge list.
 
@@ -46,12 +55,13 @@ class Graph:
                     and 0 <= u < n and 0 <= v < n):
                 require_int("vertex", u)
                 require_int("vertex", v)
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise EdgeError(f"edge ({u},{v}) out of range for n={n}",
+                                len(norm))
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise EdgeError(f"self-loop at vertex {u}", len(norm))
             e = (u, v) if u < v else (v, u)
             if e in index:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+                raise EdgeError(f"duplicate edge ({e[0]},{e[1]})", len(norm))
             index[e] = len(norm)
             norm.append(e)
             nbrs[u].append(v)
@@ -467,22 +477,12 @@ def parse_any(text: str) -> ParsedGraph:
                 raise GraphFormatError("mixed sign and color tags",
                                        sign_line)
 
-    edges = []
-    seen = set()
-    for lineno, u, v, _ in rows:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex index out of range 0..{n - 1}",
-                                   lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})",
-                                   lineno)
-        seen.add(key)
-        edges.append((u, v))
+    try:
+        graph = Graph(n, [(u, v) for _, u, v, _ in rows])
+    except EdgeError as e:
+        raise GraphFormatError(str(e), rows[e.edge][0]) from None
     return ParsedGraph(
-        Graph(n, edges),
+        graph,
         tuple(signs) if signs is not None else None,
         tuple(colors) if colors is not None else None,
         tuple(comments),

@@ -33,6 +33,7 @@ from .distances import (
     bipartite_lower_bound,
     check_fit,
     leaf_lower_bound,
+    wiener_classical,
     wiener_signed,
 )
 from .graphs import (
@@ -343,9 +344,12 @@ def tree_canonical_form(tree: Graph) -> tuple:
 
 @dataclass(frozen=True)
 class TreeRecord:
+    """A tree and W_*, its least W_sigma over all signings.  The
+    greatest needs no scan: it is the classical W(tree), reached by the
+    all-plus signing, since no path's |sum| exceeds its length."""
+
     tree: Graph
     min_wiener: int
-    max_wiener: int
 
 
 def _all_trees(n: int) -> list[Graph]:
@@ -362,16 +366,15 @@ def _all_trees(n: int) -> list[Graph]:
 
 
 def _tree_record(t: Graph) -> TreeRecord:
-    """t's record: W_sigma once per signing with the first edge +1
-    (negation never changes it), keeping the least and the greatest."""
-    values = [tree_signed_wiener(t, signs)
-              for signs in _half_space_signings(t.m)]
-    return TreeRecord(t, min(values), max(values))
+    """t's record: the least W_sigma over the signings with the first
+    edge +1 (negation never changes it)."""
+    return TreeRecord(t, min(tree_signed_wiener(t, signs)
+                             for signs in _half_space_signings(t.m)))
 
 
 def enumerate_trees(n: int, *, workers: int = 1) -> list[TreeRecord]:
     """All pairwise non-isomorphic trees on n vertices, once each, with
-    their signed Wiener range over all signings.
+    their least signed Wiener index over all signings.
 
     This is the one scan over (tree, signing) pairs: both tree
     conjectures read its records.  The order is fixed, and with
@@ -409,7 +412,8 @@ def verify_tree_sandwich(n: int, *, workers: int = 1) -> SandwichReport:
     anchors; negation symmetry halves each tree's signing space.
 
     Reads the records of enumerate_trees (scanned in `workers`
-    processes): a tree fails a bound iff its least or greatest W_sigma
+    processes): a tree fails the lower bound iff its least W_sigma
+    does, and the upper bound iff its greatest, the classical W(T),
     does.  A counterexample is the first failing tree in enumeration
     order with its first failing signing, found by re-scanning that one
     tree."""
@@ -428,7 +432,8 @@ def verify_tree_sandwich(n: int, *, workers: int = 1) -> SandwichReport:
         return None
 
     lower_cx = first_failure(lambda r: r.min_wiener, lambda w: w < low)
-    upper_cx = first_failure(lambda r: r.max_wiener, lambda w: w > high)
+    upper_cx = first_failure(lambda r: wiener_classical(r.tree),
+                             lambda w: w > high)
     return SandwichReport(n, lower_cx is None, upper_cx is None, low, high,
                           len(records), len(records) * 2 ** max(n - 2, 0),
                           lower_cx, upper_cx)
@@ -475,21 +480,17 @@ def verify_double_star(n: int, *, workers: int = 1) -> DoubleStarReport:
     def value(tree: Graph) -> int:
         return _tree_record(tree).min_wiener
 
+    def first_tree(fails) -> Graph | None:
+        return next((r.tree for r in records if fails(r.min_wiener)), None)
+
     path_value = value(path_graph(n))
-    best_ab, best_val = (0, n - 2), None
-    for a in range((n - 2) // 2 + 1):
-        val = value(double_star(a, n - 2 - a))
-        if best_val is None or val > best_val:
-            best_ab, best_val = (a, n - 2 - a), val
+    best_val, best_ab = max(((value(double_star(a, n - 2 - a)), (a, n - 2 - a))
+                             for a in range((n - 2) // 2 + 1)),
+                            key=lambda pair: pair[0])
     star_value = value(star_graph(n))
-    lower_cx = upper_cx = star_cx = None
-    for rec in records:
-        if rec.min_wiener < path_value and lower_cx is None:
-            lower_cx = rec.tree
-        if rec.min_wiener > best_val and upper_cx is None:
-            upper_cx = rec.tree
-        if rec.min_wiener > star_value and star_cx is None:
-            star_cx = rec.tree
+    lower_cx = first_tree(lambda w: w < path_value)
+    upper_cx = first_tree(lambda w: w > best_val)
+    star_cx = first_tree(lambda w: w > star_value)
     return DoubleStarReport(n, lower_cx is None, upper_cx is None,
                             path_value, best_ab, best_val, star_value,
                             star_cx is None, lower_cx, upper_cx, star_cx)
@@ -530,21 +531,14 @@ def dyck_record(steps: str) -> DyckRecord:
 
 
 def dyck_steps(n: int):
-    """All Dyck words of semilength n, lexicographically with U < D."""
-    def extend(prefix: list[str], ups: int, downs: int):
-        if len(prefix) == 2 * n:
-            yield "".join(prefix)
-            return
-        if ups < n:
-            prefix.append("U")
-            yield from extend(prefix, ups + 1, downs)
-            prefix.pop()
-        if downs < ups:
-            prefix.append("D")
-            yield from extend(prefix, ups, downs + 1)
-            prefix.pop()
-
-    yield from extend([], 0, 0)
+    """All Dyck words of semilength n, lexicographically with U < D:
+    the U positions run through the n-subsets of range(2n) in
+    lexicographic order, and a subset is kept when its i-th U (from 0)
+    sits at position 2i or earlier, so no prefix has more D than U."""
+    for ups in itertools.combinations(range(2 * n), n):
+        if all(p <= 2 * i for i, p in enumerate(ups)):
+            up = set(ups)
+            yield "".join("U" if p in up else "D" for p in range(2 * n))
 
 
 def dyck_records(n: int) -> list[DyckRecord]:

@@ -9,6 +9,7 @@ import pytest
 
 from signedwiener.canceling import necessary_conditions
 from signedwiener.graphs import (
+    EdgeError,
     Graph,
     GraphFormatError,
     bfs_distances,
@@ -59,6 +60,13 @@ class TestGraphBasics:
             Graph(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    def test_edge_refusal_carries_the_edge_position(self):
+        for edges, at in (([(0, 1), (0, 3)], 1), ([(2, 2)], 0),
+                          ([(0, 1), (1, 2), (2, 1)], 2)):
+            with pytest.raises(EdgeError) as exc:
+                Graph(3, edges)
+            assert exc.value.edge == at
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])
@@ -312,6 +320,18 @@ class TestParsing:
         with pytest.raises(GraphFormatError) as exc:
             parse_any("3 2\n0 1\n0 1\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 2\n0 1 +\n# note\n1 3 -\n", 4, "edge (1,3) out of range for n=3"),
+        ("3 2\n0 1\n-1 2\n", 3, "edge (-1,2) out of range for n=3"),
+        ("3 2\n# note\n2 2\n0 1\n", 3, "self-loop at vertex 2"),
+        ("3 3\n0 1\n1 2\n\n1 0\n", 5, "duplicate edge (0,1)"),
+    ], ids=["range", "negative", "self-loop", "duplicate"])
+    def test_edge_refusal_names_its_line(self, text, line, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_any(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
 
     def test_errors(self):
         for text in ("", "2 1\n0 2\n", "2 1\n0 0\n", "2 2\n0 1\n",

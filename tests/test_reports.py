@@ -174,6 +174,8 @@ RENDERED = {
     "threshold-row-coloring": lambda: threshold_scan(3, 2, [7])[0],
     "sandwich-report": lambda: verify_tree_sandwich(5),
     "double-star-report": lambda: verify_double_star(6),
+    "sandwich-report-n9": lambda: verify_tree_sandwich(9),
+    "double-star-report-n8": lambda: verify_double_star(8),
     "soltes-report": lambda: soltes_check_signed(_theta4().graph,
                                                  _theta4().signing),
     "certification-result": lambda: certify(square_path_signing(6)),
@@ -191,6 +193,9 @@ RENDERED = {
 # branches: the generic dataclass branch must keep every byte.  The
 # necessary report's three verdict flags are stored fields, so its
 # bytes are those `filter --format kv` printed before they were
+# stored.  The n = 9 sandwich and n = 8 double-star reports (the latter
+# with the star-only counterexample) keep the bytes they had while each
+# tree record still kept its scanned greatest W_sigma.
 RENDERED_SHA256 = {
     "canceling-verdict":
         "f45593326255ef1e8b5f0a8da9a81e1da79919652a64dcc9b9c80ebcc2e13a76",
@@ -208,6 +213,10 @@ RENDERED_SHA256 = {
         "2846fb9a9e80b66325e6a5413a2201f731f3b045de0796ade1e5b538aea102fa",
     "double-star-report":
         "6395d06b52720c6681a336b407fbdd084e6aa680e90caf71684545fc31a3f4cb",
+    "sandwich-report-n9":
+        "413e36dc81b8ab49194fd952297801dcbef31a04e06c644d65613149380d810a",
+    "double-star-report-n8":
+        "fde268a40f5143a61a952d01f0943b59b4cb3f960ac17084325cf7eaa1a2fd7d",
     "soltes-report":
         "c939105d1ec0fe2913bd4197d0ac95193732d9ca2693b487a56dfece45b132f0",
     "certification-result":

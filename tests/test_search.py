@@ -24,6 +24,7 @@ from signedwiener.distances import (
     SizeGuardError,
     bipartite_lower_bound,
     leaf_lower_bound,
+    wiener_classical,
     wiener_signed,
 )
 from signedwiener.graphs import (
@@ -346,6 +347,16 @@ class TestTrees:
             naive.wiener_signed(4, path.tree.edges, s)
             for s in itertools.product((1, -1), repeat=3))
 
+    def test_greatest_signed_index_is_classical(self):
+        # the sandwich's upper half reads W(T) as the greatest W_sigma,
+        # and the all-plus signing, scanned first, attains it
+        for n in range(1, 9):
+            for rec in enumerate_trees(n):
+                values = [tree_signed_wiener(rec.tree, signs) for signs
+                          in search._half_space_signings(rec.tree.m)]
+                assert max(values) == values[0] == \
+                    wiener_classical(rec.tree)
+
     def test_tree_shortcut_matches_engine(self):
         for rec in enumerate_trees(6):
             for signs in itertools.product((1, -1), repeat=5):
@@ -451,6 +462,18 @@ class TestDyck:
     def test_counts_are_catalan(self):
         for n in range(1, 7):
             assert len(list(dyck_steps(n))) == math.comb(2 * n, n) // (n + 1)
+
+    def test_words_are_the_balanced_words_with_u_first(self):
+        def balanced(word):
+            heights = list(itertools.accumulate(
+                1 if ch == "U" else -1 for ch in word))
+            return min(heights) >= 0 and heights[-1] == 0
+
+        for n in range(1, 7):
+            words = ("".join(w) for w in itertools.product("UD", repeat=2 * n))
+            want = sorted(filter(balanced, words),
+                          key=lambda w: w.replace("U", "0"))
+            assert list(dyck_steps(n)) == want
 
     def test_semilength_1(self):
         assert dyck_distribution(1) == {2: 1}
