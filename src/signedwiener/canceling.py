@@ -80,7 +80,10 @@ def _path_table(n: int, r: int, k: int, *, max_n) -> list[tuple]:
     Per deletion set D of size s = min(k-1, n-2) in lex order and per
     pair u < v of K_n - D in lex order, one entry lists the simple
     uv-paths of K_n - D whose length L is divisible by r, shortest
-    first, each as (bitmask of its K_n edge indices, L // r).  The
+    first, each as (edge bitmask, L // r).  Every bitmask a sweep
+    checks against the table uses one layout: edge e of
+    complete_graph(n) sits at bit m - 1 - e, m = C(n, 2).  So the i-th
+    signing of search._half_space_signings has minus mask i.  The
     verdicts' size guard runs first, on the n - s vertices their paths
     run on, so a refused row lists no path.
     """
@@ -98,18 +101,18 @@ def _path_table(n: int, r: int, k: int, *, max_n) -> list[tuple]:
                     walk = (u, *mid, v)
                     mask = 0
                     for a, b in zip(walk, walk[1:]):
-                        mask |= 1 << kn.edge_index(a, b)
+                        mask |= 1 << (kn.m - 1 - kn.edge_index(a, b))
                     paths.append((mask, length // r))
             table.append(tuple(paths))
     return table
 
 
-def _table_holds(table: list[tuple], masks: list[int]) -> bool:
-    """Whether the coloring whose colors 1..r-1 cover the edge bitmasks
+def _table_holds(table: list[tuple], masks: tuple[int, ...]) -> bool:
+    """Whether the coloring whose colors 2..r cover the edge bitmasks
     masks is canceling by _path_table's table: every entry needs a path
-    meeting each of those colors exactly L // r times (color r then
-    takes the rest).  Same answer as the verdicts, whose lemma the
-    table's deletion size follows."""
+    meeting each of those colors exactly L // r times (color 1 then
+    takes the rest, so any r - 1 colors would do).  Same answer as the
+    verdicts, whose lemma the table's deletion size follows."""
     for paths in table:
         for mask, share in paths:
             for color in masks:
@@ -226,29 +229,33 @@ class SoltesReport:
     deleted: tuple
 
 
-def soltes_check_classical(g: Graph) -> SoltesReport:
-    """Whether classical Wiener is invariant under every single-vertex
-    deletion.  Infinite on both sides counts as equal."""
+def _soltes_report(g: Graph, value) -> SoltesReport:
+    """value(h, refs) of g, with refs None, against that of each
+    one-vertex deletion g - v, with refs its edge_refs into g.
+    Infinite on both sides counts as equal."""
     if g.n < 2:
         raise ValueError("deletion check needs n >= 2")
-    base = wiener_classical(g)
-    deleted = tuple(wiener_classical(delete_vertices(g, {v}).graph)
-                    for v in range(g.n))
+    base = value(g, None)
+    deleted = tuple(value(sub.graph, sub.edge_refs) for sub in
+                    (delete_vertices(g, {v}) for v in range(g.n)))
     return SoltesReport(all(d == base for d in deleted), base, deleted)
+
+
+def soltes_check_classical(g: Graph) -> SoltesReport:
+    """Whether classical Wiener is invariant under every single-vertex
+    deletion."""
+    return _soltes_report(g, lambda h, refs: wiener_classical(h))
 
 
 def soltes_check_signed(g: Graph, signing, *,
                         max_n: int | None = None) -> SoltesReport:
     """Signed-Wiener variant of the single-vertex-deletion check, with
-    the signing restricted to each surviving edge set."""
-    if g.n < 2:
-        raise ValueError("deletion check needs n >= 2")
-    sigma = as_signing(signing)
-    base = wiener_signed(g, sigma, max_n=max_n)
-    deleted = []
-    for v in range(g.n):
-        sub = delete_vertices(g, {v})
-        sub_signs = tuple(sigma.signs[j] for j in sub.edge_refs)
-        deleted.append(wiener_signed(sub.graph, sub_signs, max_n=max_n))
-    deleted = tuple(deleted)
-    return SoltesReport(all(d == base for d in deleted), base, deleted)
+    the signing restricted to each surviving edge set.  g's own value
+    takes the signing as given, so its checks run on g first."""
+    def value(h, refs):
+        if refs is None:
+            return wiener_signed(h, signing, max_n=max_n)
+        signs = as_signing(signing).signs
+        return wiener_signed(h, tuple(signs[j] for j in refs), max_n=max_n)
+
+    return _soltes_report(g, value)

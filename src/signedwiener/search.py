@@ -188,20 +188,26 @@ def min_signed_wiener(g: Graph, *,
 
 def _surjective_growth_colorings(m: int, r: int):
     """Colorings of m edges modulo color permutation: first occurrences
-    appear in increasing color order, and all r colors are used."""
-    def extend(prefix: list[int], high: int):
-        if len(prefix) == m:
-            if high == r:
-                yield tuple(prefix)
-            return
-        if r - high > m - len(prefix):
-            return
-        for c in range(1, min(high + 1, r) + 1):
-            prefix.append(c)
-            yield from extend(prefix, max(high, c))
-            prefix.pop()
+    appear in increasing color order, and all r colors are used.  Each
+    is yielded as the edge bitmasks of its colors 2..r, in the layout
+    of canceling._path_table; edge e's color is set by toggling its
+    bit in one mask."""
+    masks = [0] * (r + 1)
 
-    yield from extend([], 0)
+    def extend(e: int, high: int):
+        if e == m:
+            if high == r:
+                yield tuple(masks[2:])
+            return
+        if r - high > m - e:
+            return
+        bit = 1 << (m - 1 - e)
+        for c in range(1, min(high + 1, r) + 1):
+            masks[c] ^= bit
+            yield from extend(e + 1, max(high, c))
+            masks[c] ^= bit
+
+    yield from extend(0, 0)
 
 
 @dataclass(frozen=True)
@@ -212,18 +218,10 @@ class ThresholdRow:
     witness: Signing | EdgeColoring | None
 
 
-def _color_masks(tags, r: int) -> list[int]:
-    """The edge bitmasks of colors 1..r-1 in a coloring's colors or a
-    signing's signs; a sign -1 indexes the last slot, color r = 2."""
-    masks = [0] * (r + 1)
-    for i, c in enumerate(tags):
-        masks[c] |= 1 << i
-    return masks[1:r]
-
-
 def _threshold_one(args) -> ThresholdRow:
     """One row: the probes through the verdicts, then, if none holds,
-    the sweep against one path table of K_n, wrapping only its hit."""
+    the sweep against one path table of K_n, its candidates enumerated
+    as the color masks the table reads; only the hit is decoded."""
     r, k, n, max_bits, max_n = args
     kn = complete_graph(n)
     if r == 2:
@@ -231,7 +229,9 @@ def _threshold_one(args) -> ThresholdRow:
         # has no cycle, so its one all-plus signing stands in
         probes = [complete_cyclic_signing(n).signing if n >= 3
                   else Signing((1,))]
-        space = _half_space_signings(kn.m)
+        # candidate i is the i-th half-space signing, whose minus mask
+        # is i (see _path_table); zip makes each a one-mask tuple
+        space = zip(range(1 << (kn.m - 1)))
     else:
         # the paper's coloring exists for k >= 2 on enough vertices
         probes = [complete_rk_coloring(n, r, k).coloring] \
@@ -243,11 +243,16 @@ def _threshold_one(args) -> ThresholdRow:
         _check_bits(candidate_bits(kn.m, r), max_bits,
                     f"threshold scan at n={n}")
         table = _path_table(n, r, k, max_n=max_n)
-        tags, swept = _first_hit(
-            space, lambda tags: _table_holds(table, _color_masks(tags, r)))
+        masks, swept = _first_hit(
+            space, lambda masks: _table_holds(table, masks))
         examined += swept
-        if tags is not None:
-            hit = Signing(tags) if r == 2 else EdgeColoring(r, tags)
+        if masks is not None:
+            colors = tuple(
+                next((c for c, mask in enumerate(masks, 2)
+                      if mask >> (kn.m - 1 - e) & 1), 1)
+                for e in range(kn.m))
+            hit = (Signing(tuple(1 if c == 1 else -1 for c in colors))
+                   if r == 2 else EdgeColoring(r, colors))
     return ThresholdRow(n, hit is not None, examined, hit)
 
 

@@ -26,7 +26,6 @@ from signedwiener.graphs import (
     theta_graph,
 )
 from signedwiener.search import (
-    _color_masks,
     _half_space_signings,
     _surjective_growth_colorings,
     theta_length_tuples,
@@ -195,12 +194,33 @@ class TestRkCanceling:
             assert verdict.certificate == first, case
 
 
+def _masks(tags, r):
+    """The edge bitmasks of colors 2..r in a coloring's colors or a
+    signing's signs (-1 is color 2), edge e at bit m - 1 - e."""
+    m = len(tags)
+    colors = [2 if t == -1 else t for t in tags]
+    return tuple(sum(1 << (m - 1 - e) for e, t in enumerate(colors)
+                     if t == c) for c in range(2, r + 1))
+
+
+def _tags(masks, m, r):
+    """The colors (signs when r = 2) whose colors 2..r have the edge
+    bitmasks masks, edge e at bit m - 1 - e; color 1 takes the rest."""
+    colors = [1] * m
+    for c, mask in enumerate(masks, 2):
+        for e in range(m):
+            if mask >> (m - 1 - e) & 1:
+                colors[e] = c
+    return tuple(1 if c == 1 else -1 for c in colors) if r == 2 \
+        else tuple(colors)
+
+
 class TestPathTable:
     """The threshold sweep's path table against the verdicts."""
 
     @staticmethod
     def table_verdict(table, tags, r):
-        return canceling._table_holds(table, _color_masks(tags, r))
+        return canceling._table_holds(table, _masks(tags, r))
 
     @staticmethod
     def verdict(g, tags, r, k):
@@ -208,17 +228,24 @@ class TestPathTable:
             return is_k_canceling_signing(g, Signing(tags), k).holds
         return is_rk_canceling_coloring(g, EdgeColoring(r, tags), k).holds
 
+    @staticmethod
+    def sweep_space(m, r):
+        """The sweep's candidates as (masks, tags) pairs."""
+        if r == 2:
+            return [((i,), _tags((i,), m, 2)) for i in range(1 << (m - 1))]
+        return [(masks, _tags(masks, m, r))
+                for masks in _surjective_growth_colorings(m, r)]
+
     @pytest.mark.parametrize("n, r, ks", [
         (4, 2, (1, 2, 3)), (4, 3, (1, 2)), (4, 4, (1,)),
         (5, 2, (1, 2, 3, 4)), (5, 3, (1, 2))])
     def test_every_candidate_of_small_rows(self, n, r, ks):
         g = complete_graph(n)
-        space = (list(_half_space_signings(g.m)) if r == 2
-                 else list(_surjective_growth_colorings(g.m, r)))
+        space = self.sweep_space(g.m, r)
         for k in ks:
             table = canceling._path_table(n, r, k, max_n=None)
-            for tags in space:
-                assert self.table_verdict(table, tags, r) == \
+            for masks, tags in space:
+                assert canceling._table_holds(table, masks) == \
                     self.verdict(g, tags, r, k), (k, tags)
 
     def test_rows_hold_both_ways(self):
@@ -226,20 +253,50 @@ class TestPathTable:
         g = complete_graph(5)
         for r, k in ((2, 1), (2, 2), (3, 1)):
             table = canceling._path_table(5, r, k, max_n=None)
-            space = (_half_space_signings(g.m) if r == 2
-                     else _surjective_growth_colorings(g.m, r))
-            seen = {self.table_verdict(table, tags, r) for tags in space}
+            seen = {canceling._table_holds(table, masks)
+                    for masks, _ in self.sweep_space(g.m, r)}
             assert seen == {True, False}, (r, k)
+
+    @staticmethod
+    def growth_colorings(m, r):
+        """The colorings the sweep enumerates, as color tuples: first
+        occurrences in increasing color order, all r colors used."""
+        def extend(prefix, high):
+            if len(prefix) == m:
+                if high == r:
+                    yield tuple(prefix)
+                return
+            if r - high > m - len(prefix):
+                return
+            for c in range(1, min(high + 1, r) + 1):
+                yield from extend(prefix + [c], max(high, c))
+
+        return list(extend([], 0))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_growth_masks_decode_to_the_colorings_in_order(self, r):
+        for m in range(r, 9):
+            decoded = [_tags(masks, m, r)
+                       for masks in _surjective_growth_colorings(m, r)]
+            assert decoded == self.growth_colorings(m, r), m
+
+    def test_half_space_signing_i_has_minus_mask_i(self):
+        # the r = 2 sweep runs over the minus masks range(2^(m-1))
+        for m in range(1, 11):
+            for i, signs in enumerate(_half_space_signings(m)):
+                assert _masks(signs, 2) == (i,), (m, signs)
+            assert i == (1 << (m - 1)) - 1
 
     def test_table_layout(self):
         # K_4 at k = 2 deletes one vertex: 4 sets x 3 pairs, each pair
-        # with one path of two edges through the third vertex
+        # with one path of two edges through the third vertex; edge e
+        # sits at bit m - 1 - e
         table = canceling._path_table(4, 2, 2, max_n=None)
         g = complete_graph(4)
         assert len(table) == 12
         first = table[0]  # D = (0,), pair (1, 2) via 3
-        assert first == ((1 << g.edge_index(1, 3) | 1 << g.edge_index(2, 3),
-                          1),)
+        assert first == ((1 << (5 - g.edge_index(1, 3))
+                          | 1 << (5 - g.edge_index(2, 3)), 1),)
         # k = 1 on K_5, r = 3: paths of 3 edges, 3 * 2 orders per pair
         table = canceling._path_table(5, 3, 1, max_n=None)
         assert len(table) == 10

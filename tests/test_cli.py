@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, both output formats,
 input sources, and the structured-output round trip."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -18,6 +19,26 @@ from signedwiener.graphs import (
 )
 from signedwiener.reports import parse_kv, render_kv
 from signedwiener.witnesses import certify, parse_witness
+
+
+# sha256 of `threshold ARGS --format kv`; a change that should keep
+# every row (holds, examined, witness) keeps these
+THRESHOLD_KV_SHA256 = {
+    "--k 1 --n-from 2 --n-to 5":
+        "d667c7ab6d05843a4a78863faa0c70a0f379041af47da57e6fccc687fd1c5ee9",
+    "--k 2 --n-from 3 --n-to 6":
+        "0467a901d870b00b8c0d0a829563ea561b99a1469530f4d41aa8d3b68bb5fd0b",
+    "--k 3 --n-from 4 --n-to 7":
+        "8b0e5aa41a6ea34595e496b86fdbaa6e2fb149fc474fdb2220bfa5f97d91d28e",
+    "--r 3 --k 1 --n-from 2 --n-to 5":
+        "30922103661485566cbab39c7c77f31dfb4440aeec33736d70c5e6b75a3defa0",
+    "--r 3 --k 1 --n-from 2 --n-to 5 --threads 2":
+        "30922103661485566cbab39c7c77f31dfb4440aeec33736d70c5e6b75a3defa0",
+    "--r 3 --k 2 --n-from 3 --n-to 7":
+        "386cb5a7f7691a2eb11c0e990de34920b53d5ee0ca787b23b6933dcb357c2a5b",
+    "--r 4 --k 1 --n-from 2 --n-to 5":
+        "49de0599fc64e5dd4768986a5d35d7a72db31b9877d9c1e830e52691a3064c68",
+}
 
 
 def run_cli(capsys, *argv):
@@ -597,6 +618,15 @@ class TestStructuredOutput:
                                  "--threads", threads)[1]
                          for threads in ("1", "4"))
             assert one and one == four
+
+    @pytest.mark.parametrize("args", THRESHOLD_KV_SHA256, ids=lambda args:
+                             args.replace(" ", ""))
+    def test_threshold_rows_are_pinned(self, capsys, args):
+        code, out, _ = run_cli(capsys, "threshold", *args.split(),
+                               "--format", "kv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            THRESHOLD_KV_SHA256[args], out
 
     def test_threshold(self, capsys):
         _, tree = self.round_trip(capsys, "threshold", "--k", "1",
