@@ -13,11 +13,15 @@ prefixes that do are dropped.  A signed distance row settles each
 target it can on a floor path, before and during one sweep, and stops
 at proven floors; signed_distance_row states its rules.  A count-table
 row with r >= 3 and q >= 2 settles, before any sweep, every target a
-rainbow path reaches (r edges, one of each color); canceling_reach_row
-states it.  Every cached row reads one setup, keyed by (graph, edge
-tags, r): the adjacency over its step table, the unit, per sign or
-color the neighbour bitsets and the edge count, the signed rows'
-target paths and, for a signing, its graph's component sides.
+rainbow path reaches (r edges, one of each color), and with q >= 3 it
+meets in the middle at level r: a target joins when one of its own
+paths of r edges completes a row path of r edges to two edges of each
+color; canceling_reach_row states both rules and why no carry of the
+count digits can forge a join.  Every cached row reads one setup,
+keyed by (graph, edge tags, r): the adjacency over its step table, the
+unit, per sign or color the neighbour bitsets and the edge count, the
+targets' own paths that the rows join and, for a signing, its graph's
+component sides.
 Two-color canceling rows alone build their adjacency per row.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
@@ -250,21 +254,22 @@ def _cancel_guard(n: int, r: int, max_n) -> None:
                      "canceling-path search")
 
 
-def _cancel_table(g: Graph, coloring: EdgeColoring, max_n):
-    """Guard a canceling query that fits g and return its _adjacency,
-    its unit (a path of length j*r cancels iff bit j*unit is set) and
-    its per-color neighbour bitsets: _setup's for every r but two, and
-    for two colors the signed table (color 1 as +1) with no bitsets
-    (None)."""
+def _cancel_table(g: Graph, coloring: EdgeColoring, max_n) -> tuple:
+    """Guard a canceling query that fits g and return its setup:
+    _setup's for every r but two, and for two colors a plain tuple in
+    _Setup's field order holding the signed table's adjacency (color 1
+    as +1) and unit alone, the other fields None."""
     _cancel_guard(g.n, coloring.r, max_n)
     if coloring.r == 2:
-        # built per row on purpose: most verdicts of an exhaustive
-        # search fail on their first row, where a cached setup costs
-        # more than it saves (through _setup, the seeded searches ran
-        # 12-19% slower)
+        # built per row on purpose, and as a plain tuple, which costs
+        # a sixth of a _Setup: most verdicts of an exhaustive search
+        # fail on their first row, where a cached setup costs more
+        # than it saves (through _setup, the seeded searches ran 12-19%
+        # slower)
         return _adjacency(g, [_SIGNED_STEPS[c - 1]
-                              for c in coloring.colors]), 2, None
-    return _setup(g, coloring.colors, coloring.r)[:3]
+                              for c in coloring.colors]), 2, \
+            None, None, None, None
+    return _setup(g, coloring.colors, coloring.r)
 
 
 class _Setup(NamedTuple):
@@ -277,8 +282,8 @@ class _Setup(NamedTuple):
     nbrs: list    # per slot, per vertex, the bitset of its neighbours
                   # over the slot's edges
     counts: list  # per slot, its edge count
-    halves: dict  # per target vertex, its _target_halves, built lazily
-                  # by the signed rows
+    halves: dict  # per target vertex, built lazily by the rows: its
+                  # _target_halves (r = 2) or _colored_halves
     sides: tuple  # for signings, component_sides(g); otherwise None
 
 
@@ -438,10 +443,11 @@ def _target_halves(adj, t: int) -> tuple:
 
 
 def _joins(level, tails) -> bool:
-    """Whether a state (x, A, X) of level, the row's paths of _HALF
-    edges, and a tail (B, need) at the same end x of _target_halves
-    form one simple path at the target's floor: A & B == 1 << x keeps
-    the two halves apart but for x, and X & need pairs their sums."""
+    """Whether a state (x, A, X) of level, the row's paths of one half
+    length, and a tail (B, need) at the same end x of _target_halves
+    or _colored_halves form one simple path the target accepts (at its
+    floor, or canceling): A & B == 1 << x keeps the two halves apart
+    but for x, and X & need pairs their sums or color counts."""
     for x, ends in tails.items():
         heads = level.get(x)
         if heads:
@@ -665,6 +671,28 @@ def _short_witness(plus, minus, u: int, v: int, d: int):
 # ---------------------------------------------------------------------------
 # canceling paths (every color equally often)
 
+def _colored_halves(adj, t: int, r: int, unit: int) -> dict:
+    """A target t's simple paths of r edges over the count table adj,
+    as {end x: [(mask, need)]} for _joins.  A source path of r edges
+    ending at x, at count bit i, and one of these, at bit j, add up to
+    two edges of each color iff i + j == 2 * unit (canceling_reach_row
+    states why no carry can forge that sum), so need holds the bits
+    2 * unit - j: j's bits up to 2 * unit, reversed."""
+    width = 2 * unit + 1
+    level = next(itertools.islice(_levels(adj, t), r, None), {})
+    tails = {}
+    for x, states in level.items():
+        ends = []
+        for mask, y in states.items():
+            y &= (1 << width) - 1
+            if y:
+                ends.append((mask, int(bin(y)[:1:-1], 2)
+                             << width - y.bit_length()))
+        if ends:
+            tails[x] = ends
+    return tails
+
+
 def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         max_n: int | None = None,
                         targets=None) -> list[bool]:
@@ -686,25 +714,50 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
       table's sweep alone.
     - Sweep.  One DP sweep serves the rest, and ends once a level of
       length divisible by r empties todo.
+    - Join.  For r >= 3 and q >= 3, once the sweep yields level r, each
+      target t in todo is tested for a canceling path of 2r edges: a
+      sweep state (x, A, X) of r edges and one of t's own paths from t
+      to x of r edges, with vertex set B and count bitset Y, form one
+      simple path when A & B == 1 << x, and it uses each color twice
+      iff some bit i of X and bit j of Y give i + j == 2 * unit.  No
+      carry forges that sum: the base-(q+1) digits of i and of j each
+      add up to r, every carry in i + j takes q off the digit sum, and
+      the digits of 2 * unit (all 2, as q >= 2) add up to 2r; so the
+      sum holds iff the digits pair up to 2, color by color.  t's paths
+      are swept once per setup and kept in it.  A target that does not
+      join stays in todo for the deeper levels, so the rule is exact.
+      It waits for q >= 3 by measurement: at q = 2 the count cap
+      already drops every prefix that uses a color three times, so the
+      levels past r are cheap, and the targets' own sweeps, paid before
+      a row can fail, cost about what they save.  Best of 9 in one
+      process, a join at q = 2 took (4,2) on K_13 from 37.8 to 33.3 ms
+      but (3,2) on K_8 from 1.24 to 1.33 ms, and a failing one-edge
+      change of (3,2) on K_10 from 0.19 to 0.42 ms; at q = 3, (3,3) on
+      K_12 went from 113 to 43 ms.
 
     For r != 2 the rows over one (graph, coloring) share one setup.
     """
     targets = range(g.n) if targets is None else tuple(targets)
     check_fit(g, coloring, source, *targets)
-    adj, unit, nbrs = _cancel_table(g, coloring, max_n)
+    adj, unit, nbrs, _, halves, _ = _cancel_table(g, coloring, max_n)
     r = coloring.r
     reach = [False] * g.n
     reach[source] = True
     todo = set(targets)
     todo.discard(source)
-    if r > 2 and (g.n - 1) // r >= 2 and todo:
-        found = _rainbow_reach(nbrs, source, sum(1 << t for t in todo))
-        for t in list(todo):
-            if found >> t & 1:
-                reach[t] = True
-                todo.discard(t)
-        if not todo:
-            return reach
+    join_at = -1
+    if r > 2:
+        q = (g.n - 1) // r
+        if q >= 2 and todo:
+            found = _rainbow_reach(nbrs, source, sum(1 << t for t in todo))
+            for t in list(todo):
+                if found >> t & 1:
+                    reach[t] = True
+                    todo.discard(t)
+            if not todo:
+                return reach
+        if q >= 3:
+            join_at = r
     for length, level in enumerate(_levels(adj, source)):
         if length % r:
             continue
@@ -716,6 +769,13 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         reach[v] = True
                         todo.discard(v)
                         break
+        if length == join_at:
+            for t in list(todo):
+                if t not in halves:
+                    halves[t] = _colored_halves(adj, t, r, unit)
+                if _joins(level, halves[t]):
+                    reach[t] = True
+                    todo.discard(t)
         if not todo:
             break
     return reach
@@ -729,7 +789,7 @@ def canceling_path_witness(g: Graph, coloring: EdgeColoring, u: int, v: int, *,
     check_fit(g, coloring, u, v)
     if u == v:
         return PathWitness((u,), (), (0,) * coloring.r)
-    adj, unit, _ = _cancel_table(g, coloring, max_n)
+    adj, unit = _cancel_table(g, coloring, max_n)[:2]
     r = coloring.r
     path = _first_path(adj, u, v, lambda length: () if length % r
                        else (length // r * unit,))

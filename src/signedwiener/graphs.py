@@ -12,6 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
+# the largest vertex count parse_any accepts in a header: Graph keeps a
+# neighbour list per vertex, so a header's count costs memory before
+# any edge is read, and every path query guards far lower (n <= 24)
+MAX_PARSED_VERTICES = 100_000
+
+
 class GraphFormatError(ValueError):
     """Malformed graph text.  Carries the offending 1-based line number."""
 
@@ -406,7 +412,8 @@ class ParsedGraph:
 
 
 def parse_any(text: str) -> ParsedGraph:
-    """Parse plain, signed, or colored edge-list text."""
+    """Parse plain, signed, or colored edge-list text.  A header naming
+    more than MAX_PARSED_VERTICES vertices is refused on its line."""
     header: tuple[int, int] | None = None
     rows: list[tuple[int, int, int, str | None]] = []
     comments = []
@@ -430,6 +437,10 @@ def parse_any(text: str) -> ParsedGraph:
                 raise GraphFormatError("expected header 'n m'", lineno)
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in header", lineno)
+            if n > MAX_PARSED_VERTICES:
+                raise GraphFormatError(
+                    f"header names {n} vertices, more than the "
+                    f"{MAX_PARSED_VERTICES} a graph file may have", lineno)
             header = (n, m)
             continue
         if len(fields) not in (2, 3):

@@ -116,13 +116,33 @@ def test_summary_counts_incorrect_runs_and_failed_share():
     assert summary["failed_share"] == {"parent": 5 / 80, "change": 3 / 60}
 
 
-def test_incorrect_run_fails_the_tool_after_writing(monkeypatch, tmp_path):
+@pytest.fixture
+def timed(monkeypatch, tmp_path):
+    """main run in tmp_path as the change's tree, with git, the export
+    and the whole-system runner stubbed; the list it returns collects
+    the (tree, arguments) of each whole-system run, each taking 2 s in
+    the change's tree and 3 s in the parent's, and the tier1 run in the
+    parent's exiting 1."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1, "workloads": [{"name": "certify"}],
         "end_to_end": METRICS}))
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "_git", lambda *args: "0" * 40)
     monkeypatch.setattr(bench, "_export", lambda ref, into: None)
+    calls = []
+
+    def run(tree, args):
+        calls.append((tree, args))
+        change = tree == tmp_path
+        return {"seconds": 2.0 if change else 3.0,
+                "exit": int(not change and "pytest" in args)}
+
+    monkeypatch.setattr(bench, "_time", run)
+    return calls
+
+
+def test_incorrect_run_fails_the_tool_after_writing(monkeypatch, tmp_path,
+                                                    timed):
     for wrong, code in ((False, 0), (True, 1)):
         # the change runs in ROOT, the parent in the exported tree
         monkeypatch.setattr(bench, "_run", lambda tree, *args: (
@@ -170,13 +190,7 @@ def test_summary_marks_gains_beyond_the_parents_spread(change, beyond):
 
 
 def test_over_bound_metrics_are_listed_on_stderr(monkeypatch, tmp_path,
-                                                 capsys):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 1, "workloads": [{"name": "certify"}],
-        "end_to_end": METRICS}))
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    monkeypatch.setattr(bench, "_git", lambda *args: "0" * 40)
-    monkeypatch.setattr(bench, "_export", lambda ref, into: None)
+                                                 capsys, timed):
     # the change (run in ROOT) is 50% slower at p90, no slower in rate
     monkeypatch.setattr(bench, "_run", lambda tree, *args: bench.parse_run(
         report(1.5 if tree == tmp_path else 1.0, 100.0)))
@@ -188,3 +202,44 @@ def test_over_bound_metrics_are_listed_on_stderr(monkeypatch, tmp_path,
     written = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert written["summary"]["certify"]["metrics"]["job_p90_s"][
         "over_bound"] is True
+
+
+def test_whole_system_times_each_command_per_side_and_seed(
+        monkeypatch, tmp_path, timed):
+    monkeypatch.setattr(bench, "_run", lambda tree, *args: bench.parse_run(
+        report(1.0, 100.0)))
+    assert bench.main(["--pr", "0", "--parent", "HEAD",
+                       "--seeds", "1", "2", "3"]) == 0
+    names = list(bench.WHOLE_SYSTEM)
+    assert names == ["reproduce core", "reproduce exhaustive",
+                     "reproduce conjectures", "tier1"]
+    # per seed, each command once per side, the side going first
+    # alternating from seed to seed
+    sides = ["change" if tree == tmp_path else "parent"
+             for tree, _ in timed]
+    assert sides == (["parent", "change"] * 4 + ["change", "parent"] * 4
+                     + ["parent", "change"] * 4)
+    assert [args for _, args in timed[:8:2]] == list(
+        bench.WHOLE_SYSTEM.values())
+    whole = json.loads((tmp_path / "BENCH_0.json").read_text())[
+        "whole_system"]
+    assert len(whole["runs"]) == 24
+    assert whole["runs"][0] == {"name": "reproduce core", "seed": 1,
+                                "side": "parent", "seconds": 3.0, "exit": 0}
+    assert list(whole["summary"]) == names
+    for name in names:
+        assert whole["summary"][name] == {
+            "parent": {"median": 3.0, "q1": 3.0, "q3": 3.0,
+                       "failed": 3 if name == "tier1" else 0},
+            "change": {"median": 2.0, "q1": 2.0, "q3": 2.0, "failed": 0}}
+
+
+def test_whole_system_summary_spreads_each_sides_times():
+    runs = [{"name": "tier1", "seed": seed, "side": side,
+             "seconds": seconds, "exit": 0}
+            for seed, (parent, change) in enumerate(
+                [(20.0, 21.0), (22.0, 25.0), (24.0, 23.0)])
+            for side, seconds in zip(bench.SIDES, (parent, change))]
+    assert bench.summarize_whole_system(runs) == {"tier1": {
+        "parent": {"median": 22.0, "q1": 21.0, "q3": 23.0, "failed": 0},
+        "change": {"median": 23.0, "q1": 22.0, "q3": 24.0, "failed": 0}}}

@@ -3,7 +3,7 @@
 import pickle
 import random
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -91,6 +91,21 @@ def random_colorings(seed, trials):
         g = random_graph(rng, n, rng.choice((0.3, 0.4, 0.55)))
         used = rng.choice((r, r, rng.randint(1, r)))
         yield g, EdgeColoring(r, tuple(rng.randint(1, used)
+                                       for _ in range(g.m)))
+
+
+def joined_colorings(seed, trials):
+    """Random r-colorings where the rows join at level r (count cap
+    q >= 3): three quarters with r = 3 on 10 or 11 vertices and 12 to
+    18 edges, the rest with r = 4 on 13 vertices and 16 to 19 edges,
+    sparse enough for tests/naive.py to walk every simple path."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        r, n, edges = ((3, rng.choice((10, 11)), (12, 18)) if trial % 4
+                       else (4, 13, (16, 19)))
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(*edges)))
+        yield g, EdgeColoring(r, tuple(rng.randint(1, r)
                                        for _ in range(g.m)))
 
 
@@ -325,6 +340,46 @@ class TestCancelingPaths:
             assert verdict.certificate == naive_certificate(g, chi, k)
             assert verdict.holds == naive.is_rk_canceling(
                 g.n, g.edges, chi.colors, chi.r, k)
+
+    def test_rows_and_verdicts_match_naive_where_rows_join(self,
+                                                          monkeypatch):
+        # every row and the k = 1 verdict with its certificate, counting
+        # the targets the level-r join settles so the test shows it ran
+        joined = []
+        join = distances._joins
+
+        def counted(level, tails):
+            joined.append(join(level, tails))
+            return joined[-1]
+
+        monkeypatch.setattr(distances, "_joins", counted)
+        for g, chi in joined_colorings(2601, 1000):
+            for u in range(g.n):
+                assert canceling_reach_row(g, chi, u) == naive.canceling_row(
+                    g.n, g.edges, chi.colors, chi.r, u), (g.edges, chi, u)
+            verdict = is_rk_canceling_coloring(g, chi, 1)
+            assert verdict.certificate == naive_certificate(g, chi, 1)
+            assert verdict.holds == (verdict.certificate is None)
+        assert sum(joined) > 10000
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_no_carry_forges_two_of_each_color(self, r, q):
+        # the join's lemma: two paths of r edges, at count bits i and j
+        # (base q + 1 digits, each at most q, summing to r), add up to
+        # two edges of each color iff i + j == 2 * unit
+        b = q + 1
+        unit = distances._count_steps(q * r + 1, r)[1]
+        halves = [digits for digits in product(range(q + 1), repeat=r)
+                  if sum(digits) == r]
+
+        def value(digits):
+            return sum(d * b ** c for c, d in enumerate(digits))
+
+        for a in halves:
+            for c in halves:
+                assert (value(a) + value(c) == 2 * unit) == all(
+                    x + y == 2 for x, y in zip(a, c))
 
     def test_rows_reject_out_of_range_source(self):
         g = path_graph(4)
@@ -591,12 +646,17 @@ class TestPairRows:
     and 2,305 states.  The join of each open target's own paths of
     three edges to the row's level 3 then took square_cycle_signing(10)
     from 5 sweeps and 2,305 states to 10 sweeps (5 rows and 5 targets'
-    halves) and 450 states."""
+    halves) and 450 states.  Its colored counterpart, the join at level
+    r of rows whose count cap q is at least 3, took the (3,2) verdict on
+    K_11 from 39 sweeps and 37,695 states to 66 sweeps (the same 39 rows
+    and 27 targets' halves) and 22,044 states; the (3,2) verdict on K_8
+    has q = 2 and no join."""
 
     @staticmethod
     def count(monkeypatch, query):
         """query's answer, its _levels sweeps, and the (end, mask)
-        states those sweeps yield."""
+        states those sweeps yield, from an empty setup cache (a cached
+        setup keeps the targets' halves)."""
         work = [0, 0]
         sweep = distances._levels
 
@@ -607,6 +667,7 @@ class TestPairRows:
                 yield level
 
         monkeypatch.setattr(distances, "_levels", counted)
+        distances._setup.cache_clear()
         return query(), *work
 
     def test_verdicts_skip_earlier_targets_and_the_last_row(self,
@@ -622,6 +683,11 @@ class TestPairRows:
             lambda: is_rk_canceling_coloring(w.graph, w.coloring, 2))
         # 48 sweeps before rows settled their rainbow paths first
         assert verdict.holds and sweeps == 6
+        w = complete_rk_coloring(11, 3, 2)
+        verdict, sweeps, states = self.count(
+            monkeypatch,
+            lambda: is_rk_canceling_coloring(w.graph, w.coloring, 2))
+        assert verdict.holds and (sweeps, states) == (66, 22044)
 
     @staticmethod
     def alternating(g):

@@ -4,7 +4,9 @@ kind, before any size guard and before the u == v shortcut; a
 Signing or EdgeColoring refuses values that are not integers, as do
 the queries and constructions a vertex or edge that is not an int, and
 Graph and delete_vertices a vertex count or vertex that is not; the
-command line refuses a non-integer parameter by its usage word."""
+command line refuses a non-integer parameter by its usage word, and
+a graph file whose header names more vertices than the parser's limit
+on that header's line."""
 
 import pytest
 
@@ -26,9 +28,12 @@ from signedwiener.distances import (
     wiener_signed,
 )
 from signedwiener.graphs import (
+    MAX_PARSED_VERTICES,
     Graph,
+    GraphFormatError,
     complete_graph,
     delete_vertices,
+    parse_any,
     path_graph,
     union_at_vertex,
 )
@@ -284,3 +289,22 @@ def test_non_integer_parameters_are_refused_by_name(capsys, argv, message):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_header_past_the_vertex_limit_is_refused(capsys, tmp_path):
+    # a Graph allocates per vertex before reading an edge, so a ten-byte
+    # header of 10^6 vertices cost a second and tens of MB unrefused
+    assert MAX_PARSED_VERTICES == 100_000
+    assert parse_any(f"{MAX_PARSED_VERTICES} 0\n").graph.n == 100_000
+    message = ("line 2: header names 100001 vertices, more than the "
+               "100000 a graph file may have")
+    with pytest.raises(GraphFormatError) as exc:
+        parse_any("# comment\n100001 0\n")
+    assert str(exc.value) == message and exc.value.line == 2
+    big = tmp_path / "big.txt"
+    big.write_text("1000000000 0\n")
+    assert main(["wiener", str(big)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: line 1: header names 1000000000 "
+                                 "vertices, more than the 100000 a graph "
+                                 "file may have\n")

@@ -25,21 +25,37 @@ A metric whose change median is better than the parent's better
 quartile (q1 when lower is better, q3 when higher is better) is marked
 beyond_spread: the change median lies outside the parent's own
 run-to-run spread, on the better side.
+
+Under whole_system the output also keeps the wall time of each
+reproduce suite and of the Tier-1 command: per seed, each command runs
+once per side in a fresh process, the side that goes first
+alternating as above, and per command each side gets the median and
+quartiles of its times and a count of the runs that exited nonzero.
+These times are descriptive only; no bound applies to them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the whole-system commands, each run as python with these arguments
+# from a tree's root with src on PYTHONPATH, as Tier-1 runs
+WHOLE_SYSTEM = {
+    **{f"reproduce {suite}": ["-m", "signedwiener", "reproduce", suite]
+       for suite in ("core", "exhaustive", "conjectures")},
+    "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
+}
 
 
 def parse_run(text: str) -> dict:
@@ -123,6 +139,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summarize_whole_system(runs: list[dict]) -> dict:
+    """Per whole-system command, each side's median and quartiles of
+    its wall times and its count of runs that exited nonzero.  runs
+    carry name, side, seconds and exit."""
+    out = {}
+    for name in dict.fromkeys(run["name"] for run in runs):
+        out[name] = {}
+        for side in SIDES:
+            own = [run for run in runs
+                   if run["name"] == name and run["side"] == side]
+            out[name][side] = {
+                **_spread([run["seconds"] for run in own]),
+                "failed": sum(run["exit"] != 0 for run in own)}
+    return out
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -144,6 +176,20 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"run.py failed in {tree} ({workload}, seed "
                          f"{seed}):\n{proc.stdout}{proc.stderr}")
     return parse_run(proc.stdout)
+
+
+def _time(tree: Path, args: list[str]) -> dict:
+    """The wall time and exit code of python with args, run in a fresh
+    process from tree with its src first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return {"seconds": time.perf_counter() - start,
+            "exit": proc.returncode}
 
 
 def main(argv=None) -> int:
@@ -172,13 +218,24 @@ def main(argv=None) -> int:
                     run = _run(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "seed": seed,
                                  "side": side, "first": order[0], **run})
+        whole = []
+        for turn, seed in enumerate(args.seeds):
+            order = SIDES if turn % 2 == 0 else SIDES[::-1]
+            for name, command in WHOLE_SYSTEM.items():
+                for side in order:
+                    print(f"{name} seed {seed}: {side}", file=sys.stderr,
+                          flush=True)
+                    whole.append({"name": name, "seed": seed, "side": side,
+                                  **_time(trees[side], command)})
     finally:
         shutil.rmtree(base)
     report = {"parent": parent,
               "change": "working tree at " + _git("rev-parse", "HEAD"),
               "seconds": seconds, "seeds": args.seeds,
               "summary": summarize(runs, spec["end_to_end"]),
-              "runs": runs}
+              "runs": runs,
+              "whole_system": {"summary": summarize_whole_system(whole),
+                               "runs": whole}}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
