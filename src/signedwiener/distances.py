@@ -13,15 +13,19 @@ prefixes that do are dropped.  A signed distance row settles each
 target it can on a floor path, before and during one sweep, and stops
 at proven floors; signed_distance_row states its rules.  A count-table
 row with r >= 3 and q >= 2 settles, before any sweep, every target a
-rainbow path reaches (r edges, one of each color), and with q >= 3 it
-meets in the middle at level r: a target joins when one of its own
-paths of r edges completes a row path of r edges to two edges of each
-color; canceling_reach_row states both rules and why no carry of the
-count digits can forge a join.  Every cached row reads one setup,
-keyed by (graph, edge tags, r): the adjacency over its step table, the
-unit, per sign or color the neighbour bitsets and the edge count, the
-targets' own paths that the rows join and, for a signing, its graph's
-component sides.
+rainbow path reaches (r edges, one of each color); canceling_reach_row
+states that rule.  Both kinds of row meet in the middle through one
+join: a target t is settled when one of its own paths, swept once and
+stored with its bitset mirrored about a center c, completes a state of
+the row's sweep to a simple path whose bits i (row) and j (target)
+give i + j == c, or c - 2 for the sum -1 of a signed row's floor 1:
+a sum at the floor for a signed row, two edges of each color for a
+count-table row (q >= 3, at level r), where canceling_reach_row states
+why no carry of the count digits can forge that sum.  Every cached
+row reads one setup, keyed by (graph, edge tags, r): the adjacency
+over its step table, the unit, per sign or color the neighbour bitsets
+and the edge count, the targets' own paths that the rows join and, for
+a signing, its graph's component sides.
 Two-color canceling rows alone build their adjacency per row.
 Both row functions take the targets their caller reads and stop once
 those are settled; a reversed path keeps its sum and color counts, so
@@ -282,8 +286,9 @@ class _Setup(NamedTuple):
     nbrs: list    # per slot, per vertex, the bitset of its neighbours
                   # over the slot's edges
     counts: list  # per slot, its edge count
-    halves: dict  # per target vertex, built lazily by the rows: its
-                  # _target_halves (r = 2) or _colored_halves
+    halves: dict  # per target vertex t, built lazily by _joined: t's
+                  # paths of _HALF edges (r = 2) or r edges as
+                  # {end x: [(vertex mask, need)]}
     sides: tuple  # for signings, component_sides(g); otherwise None
 
 
@@ -408,51 +413,51 @@ def _floor_path(plus, minus, u: int, t: int, floor: int) -> bool:
     return False
 
 
-# The half depth of the meet-in-the-middle join.  The row's sweep yields
-# its level 3 anyway, as floor paths of up to four edges are settled
-# before it; joined to a target's own paths of 2 or 3 edges, that level
-# covers the floor paths of 5 edges (floor 1) and 6 edges (floor 0), the
-# lengths most open targets of a bipartite row need.  A target's paths
-# are few at that depth on the sparse rows that get this far, while
-# each level deeper multiplies them by the degree.
+# The depth of a target's own paths in the signed rows' join.  The row's
+# sweep yields its levels 2 and 3 anyway, as floor paths of up to four
+# edges are settled before it; joined to a target's paths of 3 edges,
+# they cover the floor paths of 5 edges (floor 1) and 6 edges (floor 0),
+# the lengths most open targets of a bipartite row need.  A target's
+# paths are few at that depth on the sparse rows that get this far,
+# while each level deeper multiplies them by the degree.
 _HALF = 3
-# per bitset y of a path of at most _HALF edges, bit 2 * _HALF - j for
-# each bit j of y
-_MIRROR = [sum(1 << 2 * _HALF - j for j in range(2 * _HALF + 1)
-               if y >> j & 1) for y in range(1 << 2 * _HALF + 1)]
 
 
-def _target_halves(adj, t: int) -> tuple:
-    """Per parity floor f (0, 1) of a target t, t's simple paths of
-    _HALF - f edges as {end x: [(mask, need)]}; a sum has its path's
-    parity, so a floor path joined from them has 2 * _HALF - f edges.
-    need holds the bits i of a source path of _HALF edges ending at x
-    (sum i - _HALF) whose sum and this path's (sum j - (_HALF - f) at
-    bit j) add up to +f or -f, i.e. i = 2 * _HALF - j or
-    i = 2 * (_HALF - f) - j."""
-    levels = list(itertools.islice(_levels(adj, t), _HALF + 1))
-    halves = []
-    for f in (0, 1):
-        tails = {}
-        if _HALF - f < len(levels):
-            for x, states in levels[_HALF - f].items():
-                tails[x] = [(mask, _MIRROR[y] | _MIRROR[y] >> 2 * f)
-                            for mask, y in states.items()]
-        halves.append(tails)
-    return tuple(halves)
+# the benchmark's passes read 4 (distance-sweep) and 23 (certify)
+# distinct arguments, so a small memo holds them all
+@functools.lru_cache(maxsize=256)
+def _mirror(y: int, center: int) -> int:
+    """Bit center - j for each bit j <= center of y."""
+    y &= (2 << center) - 1
+    return int(bin(y)[:1:-1], 2) << center + 1 - y.bit_length() if y else 0
 
 
-def _joins(level, tails) -> bool:
-    """Whether a state (x, A, X) of level, the row's paths of one half
-    length, and a tail (B, need) at the same end x of _target_halves
-    or _colored_halves form one simple path the target accepts (at its
-    floor, or canceling): A & B == 1 << x keeps the two halves apart
-    but for x, and X & need pairs their sums or color counts."""
+def _joined(adj, halves, level, t: int, depth: int, center: int,
+            widen: int = 0) -> bool:
+    """Whether a state (x, A, X) of level, the row's paths of one
+    length, and one of target t's own simple paths of depth edges
+    from t to x, with vertex set B and bitset Y, form one simple path
+    the target accepts: A & B == 1 << x keeps the two apart but for x,
+    and they pair when some bit i of X and bit j of Y give
+    i + j == center or, for widen > 0, i + j == center - widen.  t's
+    paths are swept once and kept in halves under t, each with its
+    need, the bits center - j of Y, so the test reads
+    (X | X << widen) & need."""
+    tails = halves.get(t)
+    if tails is None:
+        tails = halves[t] = {}
+        level_t = next(itertools.islice(_levels(adj, t), depth, None), {})
+        for x, states in level_t.items():
+            ends = [(mask, need) for mask, y in states.items()
+                    if (need := _mirror(y, center))]
+            if ends:
+                tails[x] = ends
     for x, ends in tails.items():
         heads = level.get(x)
         if heads:
             bit = 1 << x
             for a, xs in heads.items():
+                xs |= xs << widen
                 for b, need in ends:
                     if xs & need and a & b == bit:
                         return True
@@ -521,12 +526,12 @@ def _signed_row(g: Graph, signs, source: int, targets) -> list:
                     sums << offset - length, offset))
                 if best[v] == floor[v]:
                     todo.discard(v)
-        if length == _HALF:
+        if _HALF - 1 <= length <= _HALF:
             for t in list(todo):
-                if t not in halves:
-                    halves[t] = _target_halves(adj, t)
-                if _joins(level, halves[t][floor[t]]):
-                    best[t] = floor[t]
+                f = floor[t]
+                if f == _HALF - length and _joined(
+                        adj, halves, level, t, _HALF, 2 * _HALF, 2 * f):
+                    best[t] = f
                     todo.discard(t)
         if not todo:
             break
@@ -562,11 +567,12 @@ def signed_distance_row(g: Graph, signing, source: int, *,
       off each vertex's plus- and minus-neighbour bitsets.  The other
       targets stay open with no best, and one DP sweep serves them; a
       row with none runs no sweep.
-    - Join.  Once the sweep yields level 3, each open target t is
-      tested for a floor path of 5 edges (floor 1) or 6 (floor 0): a
-      sweep state (x, A) of 3 edges and one of t's own paths from t to
-      x of 2 or 3 edges, with vertex set B, form one simple path when
-      A & B == 1 << x, and its sum is the sum of the two.
+    - Join.  Each open target t is tested for a floor path of 5 edges
+      (floor 1) when the sweep yields level 2, or of 6 edges (floor 0)
+      at level 3: a sweep state (x, A) and one of t's own paths from t
+      to x of 3 edges, with vertex set B, form one simple path when
+      A & B == 1 << x, and its sum is the sum of the two.  t's paths
+      are swept once per setup, whatever its floor.
     - Sign budget.  Once every open target has a best, let B be their
       largest best.  A length-L prefix with sum s has at most
       R = n-1-L edges left, at most min(R, m+) positive and min(R, m-)
@@ -671,28 +677,6 @@ def _short_witness(plus, minus, u: int, v: int, d: int):
 # ---------------------------------------------------------------------------
 # canceling paths (every color equally often)
 
-def _colored_halves(adj, t: int, r: int, unit: int) -> dict:
-    """A target t's simple paths of r edges over the count table adj,
-    as {end x: [(mask, need)]} for _joins.  A source path of r edges
-    ending at x, at count bit i, and one of these, at bit j, add up to
-    two edges of each color iff i + j == 2 * unit (canceling_reach_row
-    states why no carry can forge that sum), so need holds the bits
-    2 * unit - j: j's bits up to 2 * unit, reversed."""
-    width = 2 * unit + 1
-    level = next(itertools.islice(_levels(adj, t), r, None), {})
-    tails = {}
-    for x, states in level.items():
-        ends = []
-        for mask, y in states.items():
-            y &= (1 << width) - 1
-            if y:
-                ends.append((mask, int(bin(y)[:1:-1], 2)
-                             << width - y.bit_length()))
-        if ends:
-            tails[x] = ends
-    return tails
-
-
 def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         max_n: int | None = None,
                         targets=None) -> list[bool]:
@@ -715,17 +699,18 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
     - Sweep.  One DP sweep serves the rest, and ends once a level of
       length divisible by r empties todo.
     - Join.  For r >= 3 and q >= 3, once the sweep yields level r, each
-      target t in todo is tested for a canceling path of 2r edges: a
-      sweep state (x, A, X) of r edges and one of t's own paths from t
-      to x of r edges, with vertex set B and count bitset Y, form one
-      simple path when A & B == 1 << x, and it uses each color twice
-      iff some bit i of X and bit j of Y give i + j == 2 * unit.  No
-      carry forges that sum: the base-(q+1) digits of i and of j each
-      add up to r, every carry in i + j takes q off the digit sum, and
-      the digits of 2 * unit (all 2, as q >= 2) add up to 2r; so the
-      sum holds iff the digits pair up to 2, color by color.  t's paths
-      are swept once per setup and kept in it.  A target that does not
-      join stays in todo for the deeper levels, so the rule is exact.
+      target t in todo is tested for a canceling path of 2r edges, by
+      the signed rows' join: a sweep state (x, A, X) of r edges and one
+      of t's own paths from t to x of r edges, with vertex set B and
+      count bitset Y, form one simple path when A & B == 1 << x, and it
+      uses each color twice iff some bit i of X and bit j of Y give
+      i + j == 2 * unit.  No carry forges that sum: the base-(q+1)
+      digits of i and of j each add up to r, every carry in i + j
+      takes q off the digit sum, and the digits of 2 * unit (all 2, as
+      q >= 2) add up to 2r; so the sum holds iff the digits pair up to
+      2, color by color.  t's paths are swept once per setup and kept
+      in it.  A target that does not join stays in todo for the deeper
+      levels, so the rule is exact.
       It waits for q >= 3 by measurement: at q = 2 the count cap
       already drops every prefix that uses a color three times, so the
       levels past r are cheap, and the targets' own sweeps, paid before
@@ -771,9 +756,7 @@ def canceling_reach_row(g: Graph, coloring: EdgeColoring, source: int, *,
                         break
         if length == join_at:
             for t in list(todo):
-                if t not in halves:
-                    halves[t] = _colored_halves(adj, t, r, unit)
-                if _joins(level, halves[t]):
+                if _joined(adj, halves, level, t, r, 2 * unit):
                     reach[t] = True
                     todo.discard(t)
         if not todo:

@@ -16,6 +16,10 @@ from itertools import combinations
 # neighbour list per vertex, so a header's count costs memory before
 # any edge is read, and every path query guards far lower (n <= 24)
 MAX_PARSED_VERTICES = 100_000
+# the largest edge count make_family builds: a cycle on that many
+# vertices fits, while a dense family past it would spend seconds and
+# hundreds of MB on its edge list before any query's guard could refuse
+MAX_FAMILY_EDGES = 100_000
 
 
 class GraphFormatError(ValueError):
@@ -233,17 +237,18 @@ def union_at_vertex(g1: Graph, g2: Graph, w1: int, w2: int) -> Graph:
 
 
 def square(g: Graph) -> Graph:
-    """Graph on the same vertices joining pairs at distance 1 or 2.
+    """Graph on the same vertices joining pairs at distance 1 or 2:
+    each vertex to its neighbours and theirs.
 
     Edges come out in lexicographic vertex order, the convention every
     square-based signing in this package assumes.
     """
     edges = []
     for u in range(g.n):
-        du = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            if du[v] <= 2:
-                edges.append((u, v))
+        near = set(g.neighbors(u))
+        for w in g.neighbors(u):
+            near.update(g.neighbors(w))
+        edges.extend((u, v) for v in sorted(near) if v > u)
     return Graph(g.n, edges)
 
 
@@ -340,16 +345,23 @@ def theta_graph(lengths) -> Graph:
     return Graph(nxt, edges)
 
 
-# family NAME -> (its builder, the usage of its parameters); a usage
-# ending in "..." takes one or more of its word, passed as one list
+# family NAME -> (its builder, the usage of its parameters, the vertex
+# and edge counts of the graph it builds, or (0, 0) for too few parts,
+# which the builder refuses); a usage ending in "..." takes one or more
+# of its word, passed as one list
 _FAMILIES = {
-    "path": (path_graph, "N"),
-    "cycle": (cycle_graph, "N"),
-    "star": (star_graph, "N"),
-    "complete": (complete_graph, "N"),
-    "complete-bipartite": (complete_bipartite_graph, "A B"),
-    "blowup": (blowup_cycle_graph, "SIZE..."),
-    "theta": (theta_graph, "LENGTH..."),
+    "path": (path_graph, "N", lambda n: (n, n - 1)),
+    "cycle": (cycle_graph, "N", lambda n: (n, n)),
+    "star": (star_graph, "N", lambda n: (n, n - 1)),
+    "complete": (complete_graph, "N", lambda n: (n, n * (n - 1) // 2)),
+    "complete-bipartite": (complete_bipartite_graph, "A B",
+                           lambda a, b: (a + b, a * b)),
+    "blowup": (blowup_cycle_graph, "SIZE...", lambda sizes: (
+        sum(sizes), sum(a * b for a, b in zip(sizes, sizes[1:] + sizes[:1])))
+        if len(sizes) >= 3 else (0, 0)),
+    "theta": (theta_graph, "LENGTH...", lambda lengths: (
+        2 + sum(ln - 1 for ln in lengths), sum(lengths))
+        if len(lengths) >= 2 else (0, 0)),
 }
 
 
@@ -380,19 +392,34 @@ def make_family(family: str, params) -> Graph:
         params: integer parameters (or their decimal strings); blowup
             takes part sizes of the base odd-or-even cycle C_t with
             t = len(params), theta takes path lengths.
+
+    A family of more than MAX_PARSED_VERTICES vertices or
+    MAX_FAMILY_EDGES edges is refused, counted from its parameters
+    before any edge list is built.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    fn, usage = _FAMILIES[family]
+    fn, usage, size = _FAMILIES[family]
     words = usage.removesuffix("...").split()
     # a surplus parameter is named by the last word
-    params = [integer_param(f"family {family}",
+    values = [integer_param(f"family {family}",
                             words[min(i, len(words) - 1)], p)
               for i, p in enumerate(params)]
     if usage.endswith("..."):
-        return fn(params)
-    if len(params) != len(words):
+        params = [values]
+    elif len(values) != len(words):
         raise ValueError(f"family {family} takes {len(words)} parameter(s)")
+    else:
+        params = values
+    # every family needs parameters >= 1, and its builder refuses others
+    if min(values, default=0) >= 1:
+        n, m = size(*params)
+        for count, what, limit in ((n, "vertices", MAX_PARSED_VERTICES),
+                                   (m, "edges", MAX_FAMILY_EDGES)):
+            if count > limit:
+                raise ValueError(
+                    f"family {family} would have {count} {what}, more "
+                    f"than the {limit} a family may have")
     return fn(*params)
 
 

@@ -29,6 +29,7 @@ from .distances import (
     GuardOverride,
     Signing,
     SizeGuardError,
+    _cancel_guard,
     as_signing,
     bipartite_lower_bound,
     check_fit,
@@ -38,6 +39,7 @@ from .distances import (
 )
 from .graphs import (
     Graph,
+    _deletion_size,
     bfs_distances,
     complete_graph,
     is_connected,
@@ -221,27 +223,36 @@ class ThresholdRow:
 def _threshold_one(args) -> ThresholdRow:
     """One row: the probes through the verdicts, then, if none holds,
     the sweep against one path table of K_n, its candidates enumerated
-    as the color masks the table reads; only the hit is decoded."""
+    as the color masks the table reads; only the hit is decoded.  The
+    guard the row meets first runs before K_n is built, from n, k and
+    r alone: a probe verdict's, on the n - s vertices its paths run
+    on, or else the sweep's candidate bits."""
     r, k, n, max_bits, max_n = args
+    # the cyclic signing settles most positive rows instantly, and the
+    # paper's coloring exists for k >= 2 on enough vertices
+    probed = r == 2 or k >= 2 and n >= 3 * (k - 1) * (r - 1)
+    bits = candidate_bits(n * (n - 1) // 2, r)
+    what = f"threshold scan at n={n}"
+    if probed:
+        _cancel_guard(n - _deletion_size(n, k), r, max_n)
+    else:
+        _check_bits(bits, max_bits, what)
     kn = complete_graph(n)
     if r == 2:
-        # the cyclic signing settles most positive rows instantly; K_2
-        # has no cycle, so its one all-plus signing stands in
+        # K_2 has no cycle, so its one all-plus signing stands in
         probes = [complete_cyclic_signing(n).signing if n >= 3
                   else Signing((1,))]
         # candidate i is the i-th half-space signing, whose minus mask
         # is i (see _path_table); zip makes each a one-mask tuple
         space = zip(range(1 << (kn.m - 1)))
     else:
-        # the paper's coloring exists for k >= 2 on enough vertices
-        probes = [complete_rk_coloring(n, r, k).coloring] \
-            if k >= 2 and n >= 3 * (k - 1) * (r - 1) else []
+        probes = [complete_rk_coloring(n, r, k).coloring] if probed else []
         space = _surjective_growth_colorings(kn.m, r)
     hit, examined = _first_hit(probes, lambda candidate: (
         is_rk_canceling_coloring(kn, candidate, k, max_n=max_n).holds))
     if hit is None:
-        _check_bits(candidate_bits(kn.m, r), max_bits,
-                    f"threshold scan at n={n}")
+        if probed:
+            _check_bits(bits, max_bits, what)
         table = _path_table(n, r, k, max_n=max_n)
         masks, swept = _first_hit(
             space, lambda masks: _table_holds(table, masks))

@@ -109,6 +109,26 @@ def joined_colorings(seed, trials):
                                        for _ in range(g.m)))
 
 
+def bipartite_signings(seed, trials):
+    """Random signings of bipartite graphs on 10 to 14 vertices: the
+    path 0-1-...-(n-1), closed to a cycle when n is even, plus one to
+    four chords joining the two sides.  Pairs across the sides have
+    parity floor 1 and pairs within a side floor 0, and a sparse graph
+    leaves many of them without a floor path of four edges or fewer,
+    so rows reach the join at both floors."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randint(10, 14)
+        edges = {(v, v + 1) for v in range(n - 1)}
+        if n % 2 == 0:
+            edges.add((0, n - 1))
+        chords = [(a, b) for a, b in combinations(range(n), 2)
+                  if (b - a) % 2 and b - a > 1 and (a, b) != (0, n - 1)]
+        edges.update(rng.sample(chords, rng.randint(1, 4)))
+        g = Graph(n, sorted(edges))
+        yield g, tuple(rng.choice((1, -1)) for _ in range(g.m))
+
+
 def naive_certificate(g, chi, k):
     """The lex-first (D, u, v), in g's vertex ids, over the deletion
     sets D of size min(k-1, n-2) and pairs u < v of g - D, with no
@@ -211,6 +231,29 @@ class TestSignedDistance:
         assert want[1] == 1
         assert signed_distance(g, signs, 0, 1) == 1
         assert signed_distance_row(g, signs, 0) == want
+
+    def test_rows_match_naive_where_both_floors_join(self, monkeypatch):
+        # every row and W_sigma against tests/naive.py, counting the
+        # targets each floor's join settles (floor 1 at the row's level
+        # 2, floor 0 at level 3) so the test shows both ran
+        joined = [0, 0]
+        join = distances._joined
+
+        def counted(adj, halves, level, t, depth, center, widen=0):
+            found = join(adj, halves, level, t, depth, center, widen)
+            joined[widen // 2] += found
+            return found
+
+        monkeypatch.setattr(distances, "_joined", counted)
+        for g, signs in bipartite_signings(2701, 150):
+            rows = [[naive.signed_distance(g.n, g.edges, signs, u, v)
+                     for v in range(g.n)] for u in range(g.n)]
+            for u in range(g.n):
+                assert signed_distance_row(g, signs, u) == rows[u], \
+                    (g.edges, signs, u)
+            assert wiener_signed(g, signs) == sum(
+                rows[u][v] for u, v in combinations(range(g.n), 2))
+        assert min(joined) > 100, joined
 
     def test_accepts_signing_objects(self):
         g = path_graph(3)
@@ -346,13 +389,13 @@ class TestCancelingPaths:
         # every row and the k = 1 verdict with its certificate, counting
         # the targets the level-r join settles so the test shows it ran
         joined = []
-        join = distances._joins
+        join = distances._joined
 
-        def counted(level, tails):
-            joined.append(join(level, tails))
+        def counted(*args):
+            joined.append(join(*args))
             return joined[-1]
 
-        monkeypatch.setattr(distances, "_joins", counted)
+        monkeypatch.setattr(distances, "_joined", counted)
         for g, chi in joined_colorings(2601, 1000):
             for u in range(g.n):
                 assert canceling_reach_row(g, chi, u) == naive.canceling_row(
@@ -650,7 +693,11 @@ class TestPairRows:
     r of rows whose count cap q is at least 3, took the (3,2) verdict on
     K_11 from 39 sweeps and 37,695 states to 66 sweeps (the same 39 rows
     and 27 targets' halves) and 22,044 states; the (3,2) verdict on K_8
-    has q = 2 and no join."""
+    has q = 2 and no join.  Joining floor-1 targets at the row's level 2
+    instead of 3, against the same three-edge paths of the target as
+    floor 0, took W_sigma of the bipartite P_13 plus chords from 13
+    sweeps and 199 states to 13 sweeps and 182 states; a join that
+    missed floor 1 would still answer right, so only work shows it."""
 
     @staticmethod
     def count(monkeypatch, query):
@@ -689,6 +736,13 @@ class TestPairRows:
             lambda: is_rk_canceling_coloring(w.graph, w.coloring, 2))
         assert verdict.holds and (sweeps, states) == (66, 22044)
 
+    # the last of bipartite_signings(2701, 3): the path 0-1-...-12
+    # with the chords (0,9), (1,10) and (5,10)
+    BIPARTITE = (Graph(13, [(0, 1), (0, 9), (1, 2), (1, 10), (2, 3),
+                            (3, 4), (4, 5), (5, 6), (5, 10), (6, 7),
+                            (7, 8), (8, 9), (9, 10), (10, 11), (11, 12)]),
+                 (-1, 1, -1, 1, -1, 1, 1, 1, -1, 1, -1, 1, -1, 1, -1))
+
     @staticmethod
     def alternating(g):
         return g, tuple(1 if i % 2 == 0 else -1 for i in range(g.m))
@@ -701,6 +755,8 @@ class TestPairRows:
         # the sign budget's case: without its window, 21,112 states
         pytest.param("K_10, edge (0,1) negative", 29, 16, 3895,
                      id="K_10 one negative edge"),
+        pytest.param("bipartite P_13 plus chords", 42, 13, 182,
+                     id="bipartite P_13 plus chords"),
     ])
     def test_wiener_rows_sweep_only_later_targets(self, monkeypatch, case,
                                                   value, sweeps, states):
@@ -712,6 +768,7 @@ class TestPairRows:
             "square_cycle_signing(10)": (w.graph, w.signing),
             "K_10, edge (0,1) negative": (complete_graph(10),
                                           (-1,) + (1,) * 44),
+            "bipartite P_13 plus chords": self.BIPARTITE,
         }[case]
         assert self.count(monkeypatch, lambda: wiener_signed(g, signs)) \
             == (value, sweeps, states)

@@ -152,6 +152,21 @@ class TestSquare:
             for v in range(u + 1, g.n):
                 assert sq.has_edge(u, v) == (dist[u][v] <= 2)
 
+    def test_matches_a_bfs_reference_on_random_graphs(self):
+        # the edges, in order, of the pairs u < v that bfs_distances
+        # puts at distance 1 or 2
+        import random
+        rng = random.Random(27)
+        for trial in range(300):
+            n = rng.randint(0, 11)
+            p = rng.choice((0.15, 0.3, 0.5))
+            g = Graph(n, [e for e in combinations(range(n), 2)
+                          if rng.random() < p])
+            want = [(u, v) for u in range(n)
+                    for v, d in enumerate(bfs_distances(g, u))
+                    if v > u and d <= 2]
+            assert square(g).edges == tuple(want), g.edges
+
 
 class TestDeletion:
     def test_k4_minus_vertex(self):

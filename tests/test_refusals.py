@@ -4,9 +4,13 @@ kind, before any size guard and before the u == v shortcut; a
 Signing or EdgeColoring refuses values that are not integers, as do
 the queries and constructions a vertex or edge that is not an int, and
 Graph and delete_vertices a vertex count or vertex that is not; the
-command line refuses a non-integer parameter by its usage word, and
-a graph file whose header names more vertices than the parser's limit
-on that header's line."""
+command line refuses a non-integer parameter by its usage word, a
+graph file whose header names more vertices than the parser's limit
+on that header's line, a family past its vertex or edge limit before
+any edge list exists, and a threshold row past its first guard before
+K_n is built."""
+
+import time
 
 import pytest
 
@@ -15,6 +19,7 @@ from signedwiener.canceling import (
     is_rk_canceling_coloring,
     soltes_check_signed,
 )
+from signedwiener import search
 from signedwiener.cli import _cmd_dist, build_parser, main
 from signedwiener.distances import (
     EdgeColoring,
@@ -28,11 +33,13 @@ from signedwiener.distances import (
     wiener_signed,
 )
 from signedwiener.graphs import (
+    MAX_FAMILY_EDGES,
     MAX_PARSED_VERTICES,
     Graph,
     GraphFormatError,
     complete_graph,
     delete_vertices,
+    make_family,
     parse_any,
     path_graph,
     union_at_vertex,
@@ -308,3 +315,64 @@ def test_header_past_the_vertex_limit_is_refused(capsys, tmp_path):
     assert out == "" and err == ("error: line 1: header names 1000000000 "
                                  "vertices, more than the 100000 a graph "
                                  "file may have\n")
+
+
+@pytest.mark.parametrize("family, message", [
+    ("complete:100000", "family complete would have 4999950000 edges"),
+    ("complete:448", "family complete would have 100128 edges"),
+    ("complete-bipartite:1000,1000",
+     "family complete-bipartite would have 1000000 edges"),
+    ("blowup:300,300,300", "family blowup would have 270000 edges"),
+    ("path:100001", "family path would have 100001 vertices"),
+    ("theta:50000,50001", "family theta would have 100001 vertices"),
+])
+def test_family_past_its_limits_is_refused(capsys, monkeypatch, family,
+                                           message):
+    # family:complete:800 alone took ~0.5 s and 152 MB unrefused
+    def built(self, n, edges):
+        raise AssertionError("a refused family built its graph")
+
+    assert MAX_FAMILY_EDGES == 100_000
+    monkeypatch.setattr(Graph, "__init__", built)
+    assert main(["filter", f"family:{family}"]) == 2
+    out, err = capsys.readouterr()
+    limit = MAX_FAMILY_EDGES if "edges" in message else MAX_PARSED_VERTICES
+    assert out == "" and err == (f"error: {message}, more than the "
+                                 f"{limit} a family may have\n")
+
+
+def test_family_at_its_limits_is_built():
+    assert make_family("complete", ["447"]).m == 99_681
+    assert make_family("cycle", ["100000"]).m == MAX_FAMILY_EDGES
+    # a parameter below 1, or too few parts, keeps its builder's own
+    # refusal
+    for family, params, message in (
+            ("complete", ["-100000"], "complete graph needs n >= 1"),
+            ("blowup", ["200000", "200000"],
+             "blowup base cycle needs >= 3 parts"),
+            ("theta", ["200000"], "theta graph needs >= 2 paths")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_family(family, params)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "1"), "zero-path search on n=100000 exceeds the size guard "
+     "24; pass a larger --max-n to override"),
+    # r = 3, k = 1 has no probe, so its first guard is the sweep's
+    (("--r", "3", "--k", "1"), "threshold scan at n=100000 needs "
+     "7924733256 candidate bits, guard allows 22; pass a larger "
+     "--max-edges to override"),
+])
+def test_threshold_refuses_an_oversized_row_before_building_k_n(
+        capsys, monkeypatch, argv, message):
+    # at n = 2000 the refusal came after 4 s and 823 MB spent on K_n
+    def built(n):
+        raise AssertionError(f"a refused row built K_{n}")
+
+    monkeypatch.setattr(search, "complete_graph", built)
+    start = time.perf_counter()
+    assert main(["threshold", *argv, "--n-from", "100000",
+                 "--n-to", "100000"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
