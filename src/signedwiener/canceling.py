@@ -16,7 +16,6 @@ from itertools import combinations, permutations
 from .distances import (
     EdgeColoring,
     Signing,
-    _cancel_guard,
     as_signing,
     canceling_reach_row,
     check_fit,
@@ -73,7 +72,7 @@ def _deletion_verdict(g: Graph, coloring: EdgeColoring, size: int, *,
     return CancelingVerdict(True)
 
 
-def _path_table(n: int, r: int, k: int, *, max_n) -> list[tuple]:
+def _path_table(n: int, r: int, k: int) -> list[tuple]:
     """The canceling question of every r-coloring of K_n at k as one
     table, built once for a sweep over many colorings.
 
@@ -84,11 +83,10 @@ def _path_table(n: int, r: int, k: int, *, max_n) -> list[tuple]:
     checks against the table uses one layout: edge e of
     complete_graph(n) sits at bit m - 1 - e, m = C(n, 2).  So the i-th
     signing of search._half_space_signings has minus mask i.  The
-    verdicts' size guard runs first, on the n - s vertices their paths
-    run on, so a refused row lists no path.
+    caller runs the verdicts' size guard on the n - s vertices the
+    paths run on, before it builds the table.
     """
     size = _deletion_size(n, k)
-    _cancel_guard(n - size, r, max_n)
     kn = complete_graph(n)
     table = []
     for dead in combinations(range(n), size):

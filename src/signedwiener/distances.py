@@ -74,15 +74,20 @@ class GuardOverride(UserWarning):
     comes only for work that runs, and before that work starts."""
 
 
-def _check_guard(n: int, max_n: int | None, default: int, what: str) -> None:
-    cap = default if max_n is None else max_n
-    if n > cap:
-        raise SizeGuardError(f"{what} on n={n} exceeds the size guard {cap}",
-                             "max_n")
-    if n > default:
+def _check_guard(size: int, cap: int | None, default: int, what: str,
+                 unit: str = "vertices", option: str = "max_n") -> None:
+    """The one size-guard rule: refuse a size past the cap (the
+    default when cap is None), and warn once admitted past the default.
+    option names the keyword that sets the cap: max_n for vertices,
+    max_bits for candidate bits."""
+    cap = default if cap is None else cap
+    if size > cap:
+        raise SizeGuardError(f"{what} needs {size} {unit}, guard allows {cap}",
+                             option)
+    if size > default:
         warnings.warn(GuardOverride(
-            f"guard override in effect: {what} on n={n} exceeds the "
-            f"default guard {default}; this may take a long time"))
+            f"guard override in effect: {what} needs {size} {unit}, past "
+            f"the default {default}; this may take a long time"))
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from .graphs import (
     theta_graph,
 )
 from .search import (
+    _all_trees,
     connected_graphs,
     dyck_record,
     dyck_records,
-    enumerate_trees,
     find_k_canceling_signing,
     theta_length_tuples,
     threshold_scan,
@@ -178,8 +178,8 @@ def _check_complete_rk_small():
 def _check_tree_squares():
     count = 0
     for n in range(5, 9):
-        for record in enumerate_trees(n):
-            if not certify(square_tree_signing(record.tree)).ok:
+        for tree in _all_trees(n):
+            if not certify(square_tree_signing(tree)).ok:
                 return False, f"failed on a tree with {n} vertices"
             count += 1
     return True, f"{count} tree squares certified (n=5..8)"

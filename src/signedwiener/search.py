@@ -11,9 +11,9 @@ so "first witness found" is reproducible and usable as a frozen fixture.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 from .canceling import (
@@ -26,10 +26,9 @@ from .canceling import (
 from .distances import (
     INFINITE,
     EdgeColoring,
-    GuardOverride,
     Signing,
-    SizeGuardError,
     _cancel_guard,
+    _check_guard,
     as_signing,
     bipartite_lower_bound,
     check_fit,
@@ -63,19 +62,6 @@ def candidate_bits(m: int, r: int = 2) -> int:
     if r > 2:
         return max(math.ceil(m * math.log2(r)), 0)
     return max(m - 1, 0)
-
-
-def _check_bits(bits: int, max_bits: int | None, what: str) -> None:
-    limit = DEFAULT_MAX_SEARCH_BITS if max_bits is None else max_bits
-    if bits > limit:
-        raise SizeGuardError(
-            f"{what} needs {bits} candidate bits, guard allows {limit}",
-            "max_bits")
-    if bits > DEFAULT_MAX_SEARCH_BITS:
-        warnings.warn(GuardOverride(
-            f"guard override in effect: {what} needs {bits} candidate "
-            f"bits, past the default {DEFAULT_MAX_SEARCH_BITS}; this may "
-            f"take a long time"))
 
 
 @dataclass(frozen=True)
@@ -146,7 +132,8 @@ def find_k_canceling_signing(g: Graph, k: int, *,
             f"k-canceling search needs n >= k+1 (n={g.n}, k={k})")
     if use_filter and not necessary_conditions(g, k).passes:
         return SearchResult(False, None, 0, 2, filtered=True)
-    _check_bits(candidate_bits(g.m), max_bits, "signing search")
+    _check_guard(candidate_bits(g.m), max_bits, DEFAULT_MAX_SEARCH_BITS,
+                 "signing search", "candidate bits", "max_bits")
     hit, examined = _first_hit(
         map(Signing, _half_space_signings(g.m)),
         lambda sigma: is_k_canceling_signing(g, sigma, k, max_n=max_n).holds)
@@ -173,7 +160,8 @@ def min_signed_wiener(g: Graph, *,
     """
     if not is_connected(g):
         return MinWienerResult(INFINITE, None, 0)
-    _check_bits(candidate_bits(g.m), max_bits, "signing scan")
+    _check_guard(candidate_bits(g.m), max_bits, DEFAULT_MAX_SEARCH_BITS,
+                 "signing scan", "candidate bits", "max_bits")
     floor = max(bipartite_lower_bound(g), leaf_lower_bound(g))
     best: int | float = INFINITE
     argmin = None
@@ -224,19 +212,21 @@ def _threshold_one(args) -> ThresholdRow:
     """One row: the probes through the verdicts, then, if none holds,
     the sweep against one path table of K_n, its candidates enumerated
     as the color masks the table reads; only the hit is decoded.  The
-    guard the row meets first runs before K_n is built, from n, k and
-    r alone: a probe verdict's, on the n - s vertices its paths run
-    on, or else the sweep's candidate bits."""
+    row's guards run from n, k and r alone, each once: an unprobed row
+    checks the sweep's candidate bits, then the n - s vertices its
+    paths run on, both before K_n is built; a probed row checks the
+    vertices before K_n is built and the bits only once its probe
+    fails."""
     r, k, n, max_bits, max_n = args
     # the cyclic signing settles most positive rows instantly, and the
     # paper's coloring exists for k >= 2 on enough vertices
     probed = r == 2 or k >= 2 and n >= 3 * (k - 1) * (r - 1)
-    bits = candidate_bits(n * (n - 1) // 2, r)
-    what = f"threshold scan at n={n}"
-    if probed:
-        _cancel_guard(n - _deletion_size(n, k), r, max_n)
-    else:
-        _check_bits(bits, max_bits, what)
+    bit_guard = (candidate_bits(n * (n - 1) // 2, r), max_bits,
+                 DEFAULT_MAX_SEARCH_BITS, f"threshold scan at n={n}",
+                 "candidate bits", "max_bits")
+    if not probed:
+        _check_guard(*bit_guard)
+    _cancel_guard(n - _deletion_size(n, k), r, max_n)
     kn = complete_graph(n)
     if r == 2:
         # K_2 has no cycle, so its one all-plus signing stands in
@@ -252,8 +242,8 @@ def _threshold_one(args) -> ThresholdRow:
         is_rk_canceling_coloring(kn, candidate, k, max_n=max_n).holds))
     if hit is None:
         if probed:
-            _check_bits(bits, max_bits, what)
-        table = _path_table(n, r, k, max_n=max_n)
+            _check_guard(*bit_guard)
+        table = _path_table(n, r, k)
         masks, swept = _first_hit(
             space, lambda masks: _table_holds(table, masks))
         examined += swept
@@ -388,17 +378,19 @@ def _tree_record(t: Graph) -> TreeRecord:
                              for signs in _half_space_signings(t.m)))
 
 
-def enumerate_trees(n: int, *, workers: int = 1) -> list[TreeRecord]:
+@functools.lru_cache(maxsize=None)
+def enumerate_trees(n: int, *, workers: int = 1) -> tuple[TreeRecord, ...]:
     """All pairwise non-isomorphic trees on n vertices, once each, with
     their least signed Wiener index over all signings.
 
     This is the one scan over (tree, signing) pairs: both tree
-    conjectures read its records.  The order is fixed, and with
+    conjectures read its records, and a process scans each (n, workers)
+    once, keeping the records as a tuple.  The order is fixed, and with
     workers > 1 the trees are scanned in that many processes with the
     same records in the same order."""
     if not 1 <= n <= TREE_MAX_N:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
-    return _pool_map(_tree_record, _all_trees(n), workers)
+    return tuple(_pool_map(_tree_record, _all_trees(n), workers))
 
 
 def _alternating_signs(m: int) -> tuple[int, ...]:

@@ -88,6 +88,12 @@ class SignedWitness:
         if self.designated_edge is not None and \
                 not 0 <= self.designated_edge < self.graph.m:
             raise ValueError("designated edge out of range")
+        pair = self.claim.exceptional_pair
+        if pair is not None and not 0 <= pair[0] < pair[1] < self.graph.n:
+            # failing pairs are listed with u < v, so no other pair
+            # could ever match
+            raise ValueError(f"exceptional pair {pair[0]},{pair[1]} needs "
+                             f"0 <= u < v < {self.graph.n}")
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,7 @@ class TestPathTable:
         g = complete_graph(n)
         space = self.sweep_space(g.m, r)
         for k in ks:
-            table = canceling._path_table(n, r, k, max_n=None)
+            table = canceling._path_table(n, r, k)
             for masks, tags in space:
                 assert canceling._table_holds(table, masks) == \
                     self.verdict(g, tags, r, k), (k, tags)
@@ -252,7 +252,7 @@ class TestPathTable:
         # the sweeps above see both verdicts, so neither side is vacuous
         g = complete_graph(5)
         for r, k in ((2, 1), (2, 2), (3, 1)):
-            table = canceling._path_table(5, r, k, max_n=None)
+            table = canceling._path_table(5, r, k)
             seen = {canceling._table_holds(table, masks)
                     for masks, _ in self.sweep_space(g.m, r)}
             assert seen == {True, False}, (r, k)
@@ -291,14 +291,14 @@ class TestPathTable:
         # K_4 at k = 2 deletes one vertex: 4 sets x 3 pairs, each pair
         # with one path of two edges through the third vertex; edge e
         # sits at bit m - 1 - e
-        table = canceling._path_table(4, 2, 2, max_n=None)
+        table = canceling._path_table(4, 2, 2)
         g = complete_graph(4)
         assert len(table) == 12
         first = table[0]  # D = (0,), pair (1, 2) via 3
         assert first == ((1 << (5 - g.edge_index(1, 3))
                           | 1 << (5 - g.edge_index(2, 3)), 1),)
         # k = 1 on K_5, r = 3: paths of 3 edges, 3 * 2 orders per pair
-        table = canceling._path_table(5, 3, 1, max_n=None)
+        table = canceling._path_table(5, 3, 1)
         assert len(table) == 10
         assert all(len(paths) == 6 and {j for _, j in paths} == {1}
                    for paths in table)
@@ -317,7 +317,7 @@ class TestPathTable:
                                  for e in range(g.m) for x in values
                                  if x != base[e]]
             for k in (1, 2, 3):
-                table = canceling._path_table(n, r, k, max_n=None)
+                table = canceling._path_table(n, r, k)
                 for tags in variants:
                     assert self.table_verdict(table, tags, r) == \
                         self.verdict(g, tags, r, k), (n, r, k, tags)
@@ -343,7 +343,7 @@ class TestPathTable:
         def check(case):
             n, r, k, tags = case
             if (n, r, k) not in tables:
-                tables[n, r, k] = canceling._path_table(n, r, k, max_n=None)
+                tables[n, r, k] = canceling._path_table(n, r, k)
             assert self.table_verdict(tables[n, r, k], tags, r) == \
                 self.verdict(complete_graph(n), tags, r, k), case
 

@@ -1,5 +1,5 @@
 """tools/code_lines.py counts code lines, not docstrings, comments or
-blank lines."""
+blank lines, and refuses a tree that holds no package."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +37,13 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == \
         "     4  a.py\n     2  b.py\n     6  total\n"
+
+
+def test_refuses_a_tree_without_the_package(tmp_path, capsys):
+    # an empty package, the source directory itself, or a typo
+    (tmp_path / "src" / "signedwiener").mkdir(parents=True)
+    for tree in (tmp_path, tmp_path / "src", tmp_path / "missing"):
+        assert code_lines.main([str(tree)]) == 2
+        out, err = capsys.readouterr()
+        package = tree / "src" / "signedwiener"
+        assert (out, err) == ("", f"code_lines.py: no package at {package}\n")

@@ -601,8 +601,8 @@ class TestGuards:
     def test_override_warns_only_past_the_default(self):
         # the check that knows n reports a loosened guard admitting it
         g = path_graph(25)
-        with pytest.warns(GuardOverride, match="signed distance on n=25 "
-                          "exceeds the default guard 24"):
+        with pytest.warns(GuardOverride, match="signed distance needs 25 "
+                          "vertices, past the default 24"):
             signed_distance_row(g, (1,) * g.m, 0, max_n=25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

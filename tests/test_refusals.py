@@ -8,7 +8,8 @@ command line refuses a non-integer parameter by its usage word, a
 graph file whose header names more vertices than the parser's limit
 on that header's line, a family past its vertex or edge limit before
 any edge list exists, and a threshold row past its first guard before
-K_n is built."""
+K_n is built; a witness refuses an exceptional pair that is not
+0 <= u < v < n."""
 
 import time
 
@@ -45,7 +46,11 @@ from signedwiener.graphs import (
     union_at_vertex,
 )
 from signedwiener.search import tree_signed_wiener
-from signedwiener.witnesses import special_witness, subdivision_extend
+from signedwiener.witnesses import (
+    parse_witness,
+    special_witness,
+    subdivision_extend,
+)
 
 K4 = complete_graph(4)
 P4 = path_graph(4)
@@ -356,7 +361,7 @@ def test_family_at_its_limits_is_built():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--k", "1"), "zero-path search on n=100000 exceeds the size guard "
+    (("--k", "1"), "zero-path search needs 100000 vertices, guard allows "
      "24; pass a larger --max-n to override"),
     # r = 3, k = 1 has no probe, so its first guard is the sweep's
     (("--r", "3", "--k", "1"), "threshold scan at n=100000 needs "
@@ -376,3 +381,15 @@ def test_threshold_refuses_an_oversized_row_before_building_k_n(
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("pair", ["0,9", "2,0", "1,1"])
+def test_exceptional_pair_outside_the_graph_is_refused(pair):
+    # 0,9 names a vertex P_3 lacks; failing pairs are listed with
+    # u < v, so 2,0 and 1,1 could never match
+    text = ("3 2\n0 1 +\n1 2 -\n"
+            f"# claim: w-zero expected=false exceptional-pair={pair}\n")
+    with pytest.raises(ValueError) as exc:
+        parse_witness(text)
+    assert str(exc.value) == (f"exceptional pair {pair} needs "
+                              "0 <= u < v < 3")

@@ -210,12 +210,13 @@ class TestThresholdScan:
                 pytest.raises(SizeGuardError) as refused:
             threshold_scan(3, 1, [17], max_bits=1000)
         assert refused.value.option == "max_n"
-        assert "n=17" in refused.value.reason
+        assert refused.value.reason == \
+            "canceling-path search needs 17 vertices, guard allows 16"
 
     def test_loosened_size_guard_warns_once_per_row(self, monkeypatch):
         # with the colored default lowered to 3, a loosened max_n admits
-        # K_4 and K_5; r = 3, k = 1 has no probe, so each row's one
-        # guard check is its table's
+        # K_4 and K_5; r = 3, k = 1 has no probe, so each row checks its
+        # bits, then its vertices, and warns once
         monkeypatch.setattr(distances, "DEFAULT_MAX_N_COLORED", 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -225,8 +226,8 @@ class TestThresholdScan:
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, GuardOverride)]
         assert messages == [
-            f"guard override in effect: canceling-path search on n={n} "
-            f"exceeds the default guard 3; this may take a long time"
+            f"guard override in effect: canceling-path search needs {n} "
+            f"vertices, past the default 3; this may take a long time"
             for n in (4, 5)]
         with pytest.raises(SizeGuardError):
             threshold_scan(3, 1, [4])
@@ -242,7 +243,8 @@ class TestThresholdScan:
             (row,) = threshold_scan(3, 2, [5])
         assert (row.holds, row.examined) == (False, 9330)
         monkeypatch.setattr(distances, "DEFAULT_MAX_N_COLORED", 3)
-        with pytest.raises(SizeGuardError, match="n=4 exceeds"):
+        with pytest.raises(SizeGuardError,
+                           match="needs 4 vertices, guard allows 3"):
             threshold_scan(3, 2, [5])
 
     def test_workers_match_serial(self):

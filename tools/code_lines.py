@@ -9,7 +9,8 @@ code lines, then the total.  A code line holds at least one token that
 is not a comment; blank lines, comment lines and the lines of
 docstrings (the string that opens a module, class or function body)
 do not count.  A statement that spans several lines counts each of
-them.
+them.  A TREE whose package holds no module is refused with exit code
+2 and one line naming the missing package.
 """
 
 from __future__ import annotations
@@ -48,8 +49,12 @@ def main(argv=None) -> int:
         print("usage: code_lines.py TREE", file=sys.stderr)
         return 2
     package = Path(argv[0]) / "src" / "signedwiener"
+    modules = sorted(package.rglob("*.py"))
+    if not modules:
+        print(f"code_lines.py: no package at {package}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(package.rglob("*.py")):
+    for path in modules:
         count = code_lines(path.read_text())
         total += count
         print(f"{count:6d}  {path.relative_to(package)}")
