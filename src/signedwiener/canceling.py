@@ -29,6 +29,7 @@ from .graphs import (
     component_sides,
     delete_vertices,
     is_k_connected,
+    require_int,
 )
 
 
@@ -130,8 +131,7 @@ def is_k_canceling_signing(g: Graph, signing, k: int, *,
     Checks only the deletion sets of size k-1, which is min(k-1, n-2)
     here since n >= k+1; see is_rk_canceling_coloring.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     if g.n <= k:
         raise ValueError(
             f"k-canceling check needs n >= k+1 (n={g.n}, k={k})")
@@ -149,8 +149,7 @@ def is_rk_canceling_coloring(g: Graph, coloring, k: int, *,
     it does after every deletion of exactly s.  No step uses r.  With
     n < 2 there are no pairs, so the coloring holds.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     if isinstance(coloring, Signing):
         coloring = coloring.as_coloring()
     elif not isinstance(coloring, EdgeColoring):
@@ -198,8 +197,7 @@ class NecessaryReport:
 
 
 def necessary_conditions(g: Graph, k: int = 1) -> NecessaryReport:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     if g.n < max(2, k + 1):
         raise ValueError(
             f"necessary-condition filter needs n >= {max(2, k + 1)}")

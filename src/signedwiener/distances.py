@@ -77,10 +77,14 @@ class GuardOverride(UserWarning):
 def _check_guard(size: int, cap: int | None, default: int, what: str,
                  unit: str = "vertices", option: str = "max_n") -> None:
     """The one size-guard rule: refuse a size past the cap (the
-    default when cap is None), and warn once admitted past the default.
-    option names the keyword that sets the cap: max_n for vertices,
-    max_bits for candidate bits."""
-    cap = default if cap is None else cap
+    default when cap is None; a given cap must be an int >= 0), and
+    warn once admitted past the default.  option names the keyword
+    that sets the cap: max_n for vertices, max_bits for candidate
+    bits."""
+    if cap is None:
+        cap = default
+    else:
+        require_int(option, cap, 0)
     if size > cap:
         raise SizeGuardError(f"{what} needs {size} {unit}, guard allows {cap}",
                              option)
@@ -117,9 +121,7 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        require_int("r", self.r)
-        if self.r < 1:
-            raise ValueError("need at least one color")
+        require_int("r", self.r, 1)
         if any(type(c) is not int or not 1 <= c <= self.r
                for c in self.colors):
             raise ValueError(f"colors must be integers in 1..{self.r}")
@@ -146,8 +148,7 @@ def check_fit(g: Graph, tagged, *vertices: int) -> None:
         raise ValueError(f"{what} has {count} entries for {g.m} edges")
     for v in vertices:
         if type(v) is not int or not 0 <= v < g.n:
-            require_int("vertex", v)
-            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+            require_int("vertex", v, 0, g.n - 1)
 
 
 @dataclass(frozen=True)

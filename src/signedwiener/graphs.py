@@ -55,8 +55,7 @@ class Graph:
 
     def __init__(self, n: int, edges) -> None:
         if type(n) is not int or n < 0:
-            require_int("vertex count", n)
-            raise ValueError(f"vertex count must be >= 0, got {n}")
+            require_int("vertex count", n, 0)
         norm: list[tuple[int, int]] = []
         index: dict[tuple[int, int], int] = {}
         nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -133,8 +132,7 @@ def delete_vertices(g: Graph, s) -> DeletedGraph:
     dead = set()
     for v in s:
         if type(v) is not int or not 0 <= v < g.n:
-            require_int("deleted vertex", v)
-            raise ValueError("deleted vertex out of range")
+            require_int("deleted vertex", v, 0, g.n - 1)
         dead.add(v)
     keep = [v for v in range(g.n) if v not in dead]
     vmap = {v: i for i, v in enumerate(keep)}
@@ -202,8 +200,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     after every deletion of exactly s, since a smaller set D avoiding
     u and v extends to a set D' of size s still avoiding them, and a
     path in G-D' is a path in G-D.  So only size-s sets are checked."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     if g.n < k:
         return False
     return all(is_connected(delete_vertices(g, dead).graph)
@@ -217,12 +214,8 @@ def union_at_vertex(g1: Graph, g2: Graph, w1: int, w2: int) -> Graph:
     rest, in order, to n1, n1+1, ...  The edge list is g1's edges
     followed by g2's, so signings concatenate positionally.
     """
-    require_int("w1", w1)
-    require_int("w2", w2)
-    if not 0 <= w1 < g1.n:
-        raise ValueError("w1 out of range")
-    if not 0 <= w2 < g2.n:
-        raise ValueError("w2 out of range")
+    require_int("w1", w1, 0, g1.n - 1)
+    require_int("w2", w2, 0, g2.n - 1)
     vmap = {}
     nxt = g1.n
     for v in range(g2.n):
@@ -256,34 +249,30 @@ def square(g: Graph) -> Graph:
 # named families
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs n >= 1")
+    require_int("n", n, 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    require_int("n", n, 3)
     return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
-    if n < 1:
-        raise ValueError("star needs n >= 1")
+    require_int("n", n, 1)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    require_int("n", n, 1)
     return Graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b} with parts 0..a-1 and a..a+b-1, edges in lex order."""
-    if a < 1 or b < 1:
-        raise ValueError("parts must be nonempty")
+    require_int("a", a, 1)
+    require_int("b", b, 1)
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
@@ -307,8 +296,8 @@ def blowup_cycle_graph(sizes) -> Graph:
     t = len(sizes)
     if t < 3:
         raise ValueError("blowup base cycle needs >= 3 parts")
-    if any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be >= 1")
+    for s in sizes:
+        require_int("part size", s, 1)
     parts = blowup_parts(sizes)
     edges = []
     for i in range(t):
@@ -329,8 +318,8 @@ def theta_graph(lengths) -> Graph:
     lengths = tuple(lengths)
     if len(lengths) < 2:
         raise ValueError("theta graph needs >= 2 paths")
-    if any(ln < 1 for ln in lengths):
-        raise ValueError("path lengths must be >= 1")
+    for ln in lengths:
+        require_int("path length", ln, 1)
     if sum(1 for ln in lengths if ln == 1) > 1:
         raise ValueError("at most one length-1 path in a simple graph")
     edges = []
@@ -365,11 +354,20 @@ _FAMILIES = {
 }
 
 
-def require_int(word: str, value) -> None:
-    """Refuse value, the argument that word names, unless it is an int
-    (a bool is not): 1.0 and True would pass a range check."""
+def require_int(word: str, value, low: int | None = None,
+                high: int | None = None) -> None:
+    """The one rule for a single integer parameter: refuse value, the
+    argument that word names, unless it is an int (a bool is not: 1.0
+    and True would pass a range check) and, where bounds are given, at
+    least low and, with high, at most high.  Three messages: "k must
+    be an integer, got 1.0", "k must be >= 1, got 0" and "vertex 4 out
+    of range 0..3"."""
     if type(value) is not int:
         raise ValueError(f"{word} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{word} {value} out of range {low}..{high}")
+    if low is not None and value < low:
+        raise ValueError(f"{word} must be >= {low}, got {value}")
 
 
 def integer_param(owner: str, word: str, text) -> int:

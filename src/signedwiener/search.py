@@ -43,6 +43,7 @@ from .graphs import (
     complete_graph,
     is_connected,
     path_graph,
+    require_int,
     star_graph,
 )
 from .witnesses import complete_cyclic_signing, complete_rk_coloring
@@ -96,6 +97,7 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
     than one job the calls run in that many processes, so fn and its
     jobs must pickle.  The pool is imported only here, so a serial run
     never loads multiprocessing."""
+    require_int("workers", workers, 1)
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -125,8 +127,7 @@ def find_k_canceling_signing(g: Graph, k: int, *,
     (needed when the search itself is the evidence the conditions are
     being tested against).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     if g.n <= k:
         raise ValueError(
             f"k-canceling search needs n >= k+1 (n={g.n}, k={k})")
@@ -269,13 +270,11 @@ def threshold_scan(r: int, k: int, n_range, *,
     negation for r=2, color permutations for r >= 3, where unused
     colors are skipped because a path cannot balance an absent color).
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("r", r, 2)
+    require_int("k", k, 1)
     ns = list(n_range)
-    if any(n <= max(1, k) for n in ns):
-        raise ValueError(f"scan needs n >= {max(2, k + 1)}")
+    for n in ns:
+        require_int("n", n, max(2, k + 1))
     return _pool_map(_threshold_one, [(r, k, n, max_bits, max_n) for n in ns],
                      workers)
 
@@ -295,8 +294,7 @@ def n2k_bounds(k: int) -> ThresholdBounds:
     (smallest t with 4^t >= k) so powers of 4 do not fall victim to
     float rounding.
     """
-    if k < 5:
-        raise ValueError("bounds are stated for k >= 5")
+    require_int("k", k, 5)
     t = 0
     while 4 ** t < k:
         t += 1
@@ -378,7 +376,9 @@ def _tree_record(t: Graph) -> TreeRecord:
                              for signs in _half_space_signings(t.m)))
 
 
-@functools.lru_cache(maxsize=None)
+# typed: 5.0 and True equal 5 and 1, and must reach the checks, not
+# the records cached for those ints
+@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_trees(n: int, *, workers: int = 1) -> tuple[TreeRecord, ...]:
     """All pairwise non-isomorphic trees on n vertices, once each, with
     their least signed Wiener index over all signings.
@@ -388,8 +388,7 @@ def enumerate_trees(n: int, *, workers: int = 1) -> tuple[TreeRecord, ...]:
     once, keeping the records as a tuple.  The order is fixed, and with
     workers > 1 the trees are scanned in that many processes with the
     same records in the same order."""
-    if not 1 <= n <= TREE_MAX_N:
-        raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
+    require_int("n", n, 1, TREE_MAX_N)
     return tuple(_pool_map(_tree_record, _all_trees(n), workers))
 
 
@@ -425,8 +424,7 @@ def verify_tree_sandwich(n: int, *, workers: int = 1) -> SandwichReport:
     does.  A counterexample is the first failing tree in enumeration
     order with its first failing signing, found by re-scanning that one
     tree."""
-    if not 1 <= n <= TREE_MAX_N:
-        raise ValueError(f"tree scan supports 1 <= n <= {TREE_MAX_N}")
+    require_int("n", n, 1, TREE_MAX_N)
     pn = path_graph(n)
     low = tree_signed_wiener(pn, _alternating_signs(pn.m))
     high = tree_signed_wiener(pn, (1,) * pn.m)
@@ -449,8 +447,8 @@ def verify_tree_sandwich(n: int, *, workers: int = 1) -> SandwichReport:
 
 def double_star(a: int, b: int) -> Graph:
     """Two adjacent centers 0 and 1 with a and b pendant leaves."""
-    if a < 0 or b < 0:
-        raise ValueError("leaf counts must be >= 0")
+    require_int("a", a, 0)
+    require_int("b", b, 0)
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
@@ -481,8 +479,7 @@ def verify_double_star(n: int, *, workers: int = 1) -> DoubleStarReport:
     processes) with the W_* of the path, every double star and the
     star, each read from its own _tree_record (W_* does not change
     under relabeling); counterexamples are the first failing records."""
-    if not 2 <= n <= TREE_MAX_N:
-        raise ValueError(f"double-star scan supports 2 <= n <= {TREE_MAX_N}")
+    require_int("n", n, 2, TREE_MAX_N)
     records = enumerate_trees(n, workers=workers)
 
     def value(tree: Graph) -> int:
@@ -550,8 +547,7 @@ def dyck_steps(n: int):
 
 
 def dyck_records(n: int) -> list[DyckRecord]:
-    if not 1 <= n <= DYCK_MAX_N:
-        raise ValueError(f"Dyck scan supports 1 <= n <= {DYCK_MAX_N}")
+    require_int("n", n, 1, DYCK_MAX_N)
     return [dyck_record(steps) for steps in dyck_steps(n)]
 
 
@@ -614,9 +610,7 @@ def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n vertices up to isomorphism, built by
     attaching a new vertex to every graph one size down (every
     connected graph loses some non-cut vertex to a connected graph)."""
-    if not 1 <= n <= CONNECTED_ENUM_MAX_N:
-        raise ValueError(
-            f"connected enumeration supports 1 <= n <= {CONNECTED_ENUM_MAX_N}")
+    require_int("n", n, 1, CONNECTED_ENUM_MAX_N)
     if n == 1:
         return [Graph(1, [])]
     kn = complete_graph(n)
@@ -648,8 +642,8 @@ def theta_length_tuples(max_paths: int, max_edges: int
     """Nondecreasing path-length tuples of every valid theta graph with
     2..max_paths paths and at most max_edges edges.  At most one path
     may have length 1 (a second would duplicate the xy edge)."""
-    if max_paths < 2:
-        raise ValueError("theta graphs need at least two paths")
+    require_int("max_paths", max_paths, 2)
+    require_int("max_edges", max_edges)
     out = []
 
     def extend(prefix: tuple[int, ...], budget: int) -> None:

@@ -60,12 +60,10 @@ class Claim:
     def __post_init__(self):
         if self.kind not in CLAIM_KINDS:
             raise ValueError(f"unknown claim kind {self.kind!r}")
-        if self.kind == "k-canceling" and (self.k is None or self.k < 1):
-            raise ValueError("k-canceling claim needs k >= 1")
-        if self.kind == "rk-canceling" and (
-                self.k is None or self.k < 1
-                or self.r is None or self.r < 2):
-            raise ValueError("rk-canceling claim needs r >= 2 and k >= 1")
+        if self.kind == "rk-canceling":
+            require_int("r", self.r, 2)
+        if self.kind != "w-zero":
+            require_int("k", self.k, 1)
         if self.exceptional_pair is not None and self.expected:
             raise ValueError("an exceptional pair implies expected=False")
 
@@ -85,15 +83,18 @@ class SignedWitness:
         tags = self.signing.signs if self.signing else self.coloring.colors
         if len(tags) != self.graph.m:
             raise ValueError("edge tag count does not match the graph")
-        if self.designated_edge is not None and \
-                not 0 <= self.designated_edge < self.graph.m:
-            raise ValueError("designated edge out of range")
+        if self.designated_edge is not None:
+            require_int("designated edge", self.designated_edge, 0,
+                        self.graph.m - 1)
         pair = self.claim.exceptional_pair
-        if pair is not None and not 0 <= pair[0] < pair[1] < self.graph.n:
-            # failing pairs are listed with u < v, so no other pair
-            # could ever match
-            raise ValueError(f"exceptional pair {pair[0]},{pair[1]} needs "
-                             f"0 <= u < v < {self.graph.n}")
+        if pair is not None:
+            for v in pair:
+                require_int("exceptional pair vertex", v)
+            if not 0 <= pair[0] < pair[1] < self.graph.n:
+                # failing pairs are listed with u < v, so no other pair
+                # could ever match
+                raise ValueError(f"exceptional pair {pair[0]},{pair[1]} "
+                                 f"needs 0 <= u < v < {self.graph.n}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,7 @@ def square_path_signing(n: int) -> SignedWitness:
     endpoint pair (0,5) fails; below 5 the squares are too small to
     cancel.
     """
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    require_int("n", n, 2)
     if n == 6:
         claim = Claim("w-zero", expected=False, exceptional_pair=(0, 5))
     elif n < 5:
@@ -177,8 +177,7 @@ def square_path_signing(n: int) -> SignedWitness:
 def complete_cyclic_signing(n: int) -> SignedWitness:
     """K_n with + on the Hamilton cycle 0,1,...,n-1 and - on chords;
     2-canceling for n >= 5, expected-false at n=3 and n=4."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
+    require_int("n", n, 3)
     g = complete_graph(n)
     sigma = Signing(tuple(
         1 if v - u == 1 or (u == 0 and v == n - 1) else -1
@@ -214,8 +213,7 @@ def square_cycle_signing(n: int) -> SignedWitness:
     """C_n squared with cycle edges + and distance-2 edges -, claiming
     2-canceling; n=5 is complete so the cyclic signing serves, and n=7
     needs its search-derived fixture."""
-    if n < 5:
-        raise ValueError("needs n >= 5")
+    require_int("n", n, 5)
     if n == 5:
         return replace(complete_cyclic_signing(5), name="square-cycle-5")
     if n == 7:
@@ -271,14 +269,10 @@ def subdivision_extend(w: SignedWitness, e: int, i: int) -> SignedWitness:
     sweeps every simple path between e's endpoints that avoids e.  i=0
     is the identity.
     """
-    require_int("e", e)
-    require_int("i", i)
-    if i < 0:
-        raise ValueError("i must be >= 0")
+    require_int("i", i, 0)
     _require_zero_index(w, "subdivision")
     g = w.graph
-    if not 0 <= e < g.m:
-        raise ValueError("edge index out of range")
+    require_int("e", e, 0, g.m - 1)
     signs = w.signing.signs
     if not _edge_qualifies(g, signs, e):
         raise ValueError(
@@ -320,8 +314,7 @@ def bipartite_clique_signing(gprime: Graph, k: int) -> SignedWitness:
     in U.  Needs both parts of size >= k+2 and every vertex with >= k+1
     cross neighbors; violations name the offending part or vertex.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     _, side_of, odd = component_sides(gprime)
     if odd:
         raise ValueError("graph is not bipartite")
@@ -355,10 +348,8 @@ def blowup_cycle_signing(t: int, sizes, k: int) -> SignedWitness:
     are +, everything else -; claims k-canceling.  Each part needs
     >= 2k vertices so both halves have >= k."""
     sizes = tuple(sizes)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("t", t, 1)
+    require_int("k", k, 1)
     if len(sizes) != 2 * t + 1:
         raise ValueError(f"expected {2 * t + 1} part sizes, got {len(sizes)}")
     for i, size in enumerate(sizes):
@@ -377,10 +368,9 @@ def complete_rk_coloring(n: int, r: int, k: int) -> SignedWitness:
     """K_n r-colored for the (r,k) claim: a cycle on the first
     m = 3(k-1)(r-1) vertices repeats colors 1..r-1 along its edges,
     and every other edge gets color r."""
-    if r < 3:
-        raise ValueError("r must be >= 3")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    require_int("n", n)
+    require_int("r", r, 3)
+    require_int("k", k, 2)
     m = 3 * (k - 1) * (r - 1)
     if n < m:
         raise ValueError(f"needs n >= {m} for r={r}, k={k}")

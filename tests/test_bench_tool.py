@@ -3,6 +3,7 @@ benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -243,3 +244,39 @@ def test_whole_system_summary_spreads_each_sides_times():
     assert bench.summarize_whole_system(runs) == {"tier1": {
         "parent": {"median": 22.0, "q1": 21.0, "q3": 23.0, "failed": 0},
         "change": {"median": 23.0, "q1": 22.0, "q3": 24.0, "failed": 0}}}
+
+
+def test_failed_run_is_kept_and_the_rest_go_on(monkeypatch, tmp_path,
+                                               timed):
+    # the change's run.py crashes on seed 2 of certify; a failed run
+    # used to end the tool, and with it every run made so far
+    def run(argv, cwd, **kwargs):
+        seed = argv[argv.index("--seed") + 1]
+        if cwd == tmp_path and seed == "2":
+            return subprocess.CompletedProcess(
+                argv, 3, "".join(f"line {i}\n" for i in range(30)),
+                "Traceback (most recent call last):\nBoom\n")
+        return subprocess.CompletedProcess(argv, 0, report(1.0, 1.0), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.main(["--pr", "0", "--parent", "HEAD",
+                       "--seeds", "1", "2", "3"]) == 1
+    written = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert [(r["seed"], r["side"]) for r in written["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "parent"),
+        (3, "parent"), (3, "change")]
+    [failed] = written["failed_runs"]
+    assert failed == {
+        "workload": "certify", "seed": 2, "side": "change",
+        "first": "change", "exit": 3,
+        "tail": "\n".join([f"line {i}" for i in range(12, 30)]
+                          + ["Traceback (most recent call last):",
+                             "Boom"])}
+    assert written["summary"]["certify"]["pairs"] == 2
+
+
+def test_summary_of_a_workload_without_pairs_is_written():
+    runs = runs_of([((1.0, 10.0), (1.0, 10.0))])
+    summary = bench.summarize(runs[:1], METRICS)["certify"]
+    assert summary["pairs"] == 0
+    assert summary["metrics"] == {} and summary["passes"] is None

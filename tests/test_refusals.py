@@ -9,7 +9,9 @@ graph file whose header names more vertices than the parser's limit
 on that header's line, a family past its vertex or edge limit before
 any edge list exists, and a threshold row past its first guard before
 K_n is built; a witness refuses an exceptional pair that is not
-0 <= u < v < n."""
+0 <= u < v < n; and every single integer parameter of the public API
+is refused through graphs.require_int, in one of its three forms,
+when it is a float, a bool or an int past a bound."""
 
 import time
 
@@ -18,6 +20,7 @@ import pytest
 from signedwiener.canceling import (
     is_k_canceling_signing,
     is_rk_canceling_coloring,
+    necessary_conditions,
     soltes_check_signed,
 )
 from signedwiener import search
@@ -28,6 +31,7 @@ from signedwiener.distances import (
     achievable_path_sums,
     canceling_path_witness,
     canceling_reach_row,
+    check_fit,
     signed_distance,
     signed_distance_row,
     signed_distance_with_witness,
@@ -38,17 +42,31 @@ from signedwiener.graphs import (
     MAX_PARSED_VERTICES,
     Graph,
     GraphFormatError,
+    blowup_cycle_graph,
+    complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     delete_vertices,
+    is_k_connected,
     make_family,
     parse_any,
     path_graph,
+    star_graph,
+    theta_graph,
     union_at_vertex,
 )
 from signedwiener.search import tree_signed_wiener
 from signedwiener.witnesses import (
+    Claim,
+    SignedWitness,
+    bipartite_clique_signing,
+    blowup_cycle_signing,
+    complete_cyclic_signing,
+    complete_rk_coloring,
     parse_witness,
     special_witness,
+    square_cycle_signing,
+    square_path_signing,
     subdivision_extend,
 )
 
@@ -352,7 +370,7 @@ def test_family_at_its_limits_is_built():
     # a parameter below 1, or too few parts, keeps its builder's own
     # refusal
     for family, params, message in (
-            ("complete", ["-100000"], "complete graph needs n >= 1"),
+            ("complete", ["-100000"], "n must be >= 1, got -100000"),
             ("blowup", ["200000", "200000"],
              "blowup base cycle needs >= 3 parts"),
             ("theta", ["200000"], "theta graph needs >= 2 paths")):
@@ -393,3 +411,134 @@ def test_exceptional_pair_outside_the_graph_is_refused(pair):
         parse_witness(text)
     assert str(exc.value) == (f"exceptional pair {pair} needs "
                               "0 <= u < v < 3")
+
+
+SIGNED_P4 = Signing(_signs(P4.m))
+K33 = complete_bipartite_graph(3, 3)
+
+# (name, the call given the value, the word naming it, low, high): every
+# single integer parameter of the public API, each refused through
+# graphs.require_int; low None checks the type alone
+INTEGER_PARAMS = [
+    ("Graph", lambda v: Graph(v, []), "vertex count", 0, None),
+    ("delete_vertices", lambda v: delete_vertices(K4, (v,)),
+     "deleted vertex", 0, 3),
+    ("is_k_connected", lambda v: is_k_connected(K4, v), "k", 1, None),
+    ("union_at_vertex-w1", lambda v: union_at_vertex(K4, P4, v, 0),
+     "w1", 0, 3),
+    ("union_at_vertex-w2", lambda v: union_at_vertex(K4, P4, 0, v),
+     "w2", 0, 3),
+    ("path_graph", path_graph, "n", 1, None),
+    ("cycle_graph", cycle_graph, "n", 3, None),
+    ("star_graph", star_graph, "n", 1, None),
+    ("complete_graph", complete_graph, "n", 1, None),
+    ("complete_bipartite_graph-a",
+     lambda v: complete_bipartite_graph(v, 1), "a", 1, None),
+    ("complete_bipartite_graph-b",
+     lambda v: complete_bipartite_graph(1, v), "b", 1, None),
+    ("blowup_cycle_graph", lambda v: blowup_cycle_graph((1, v, 1)),
+     "part size", 1, None),
+    ("theta_graph", lambda v: theta_graph((2, v)), "path length", 1, None),
+    ("EdgeColoring", lambda v: EdgeColoring(v, ()), "r", 1, None),
+    ("check_fit", lambda v: check_fit(K4, Signing(_signs(K4.m)), v),
+     "vertex", 0, 3),
+    ("is_k_canceling_signing",
+     lambda v: is_k_canceling_signing(K4, _signs(K4.m), v), "k", 1, None),
+    ("is_rk_canceling_coloring",
+     lambda v: is_rk_canceling_coloring(K4, _colors(3)(K4.m), v),
+     "k", 1, None),
+    ("necessary_conditions", lambda v: necessary_conditions(K4, v),
+     "k", 1, None),
+    ("find_k_canceling_signing",
+     lambda v: search.find_k_canceling_signing(K4, v), "k", 1, None),
+    ("find_k_canceling_signing-max_bits",
+     lambda v: search.find_k_canceling_signing(K4, 1, max_bits=v),
+     "max_bits", 0, None),
+    ("find_k_canceling_signing-max_n",
+     lambda v: search.find_k_canceling_signing(K4, 1, max_n=v),
+     "max_n", 0, None),
+    ("threshold_scan-r", lambda v: search.threshold_scan(v, 1, [3]),
+     "r", 2, None),
+    ("threshold_scan-k", lambda v: search.threshold_scan(2, v, [5]),
+     "k", 1, None),
+    ("threshold_scan-n", lambda v: search.threshold_scan(2, 2, [4, v]),
+     "n", 3, None),
+    ("threshold_scan-workers",
+     lambda v: search.threshold_scan(2, 1, [2, 3], workers=v),
+     "workers", 1, None),
+    ("n2k_bounds", search.n2k_bounds, "k", 5, None),
+    ("enumerate_trees", search.enumerate_trees, "n", 1, search.TREE_MAX_N),
+    ("enumerate_trees-workers",
+     lambda v: search.enumerate_trees(3, workers=v), "workers", 1, None),
+    ("verify_tree_sandwich", search.verify_tree_sandwich, "n", 1,
+     search.TREE_MAX_N),
+    ("verify_double_star", search.verify_double_star, "n", 2,
+     search.TREE_MAX_N),
+    ("double_star-a", lambda v: search.double_star(v, 1), "a", 0, None),
+    ("double_star-b", lambda v: search.double_star(1, v), "b", 0, None),
+    ("dyck_records", search.dyck_records, "n", 1, search.DYCK_MAX_N),
+    ("connected_graphs", search.connected_graphs, "n", 1,
+     search.CONNECTED_ENUM_MAX_N),
+    ("theta_length_tuples-max_paths",
+     lambda v: search.theta_length_tuples(v, 4), "max_paths", 2, None),
+    ("theta_length_tuples-max_edges",
+     lambda v: search.theta_length_tuples(2, v), "max_edges", None, None),
+    ("Claim-k", lambda v: Claim("k-canceling", k=v), "k", 1, None),
+    ("Claim-rk-k", lambda v: Claim("rk-canceling", k=v, r=3), "k", 1, None),
+    ("Claim-rk-r", lambda v: Claim("rk-canceling", k=1, r=v), "r", 2, None),
+    ("SignedWitness-designated_edge",
+     lambda v: SignedWitness("w", P4, Claim("w-zero"), signing=SIGNED_P4,
+                             designated_edge=v),
+     "designated edge", 0, 2),
+    ("SignedWitness-exceptional_pair",
+     lambda v: SignedWitness("w", P4, Claim(
+         "w-zero", expected=False, exceptional_pair=(v, 3)),
+         signing=SIGNED_P4),
+     "exceptional pair vertex", None, None),
+    ("square_path_signing", square_path_signing, "n", 2, None),
+    ("complete_cyclic_signing", complete_cyclic_signing, "n", 3, None),
+    ("square_cycle_signing", square_cycle_signing, "n", 5, None),
+    ("subdivision_extend-e",
+     lambda v: subdivision_extend(special_witness("theta4"), v, 1),
+     "e", 0, THETA4.m - 1),
+    ("subdivision_extend-i",
+     lambda v: subdivision_extend(special_witness("theta4"), 3, v),
+     "i", 0, None),
+    ("bipartite_clique_signing",
+     lambda v: bipartite_clique_signing(K33, v), "k", 1, None),
+    ("blowup_cycle_signing-t",
+     lambda v: blowup_cycle_signing(v, (2, 2, 2), 1), "t", 1, None),
+    ("blowup_cycle_signing-k",
+     lambda v: blowup_cycle_signing(1, (2, 2, 2), v), "k", 1, None),
+    ("complete_rk_coloring-n", lambda v: complete_rk_coloring(v, 3, 2),
+     "n", None, None),
+    ("complete_rk_coloring-r", lambda v: complete_rk_coloring(8, v, 2),
+     "r", 3, None),
+    ("complete_rk_coloring-k", lambda v: complete_rk_coloring(8, 3, v),
+     "k", 2, None),
+]
+
+
+def _bad_values(word, low, high):
+    """(value, message) pairs: a float and a bool, both equal to an
+    accepted int, and each int just past a bound."""
+    accepted = 1 if low is None else max(low, 1)
+    for value in (float(accepted), True):
+        yield value, f"{word} must be an integer, got {value!r}"
+    if high is not None:
+        for value in (low - 1, high + 1):
+            yield value, f"{word} {value} out of range {low}..{high}"
+    elif low is not None:
+        yield low - 1, f"{word} must be >= {low}, got {low - 1}"
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, message, id=f"{name}-{value!r}")
+    for name, call, word, low, high in INTEGER_PARAMS
+    for value, message in _bad_values(word, low, high)])
+def test_integer_parameter_is_refused_by_one_rule(call, value, message):
+    # a float or bool equal to an accepted int passed a range check
+    # alone, or failed deep inside with a TypeError
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == message

@@ -18,9 +18,13 @@ for peak_rss_mb, which the benchmark's kept answers raise with every
 pass.  Per workload and side it also counts the runs whose answer
 checks failed and the share of failed operations; run.py exits 0 even
 on wrong answers, so this tool exits 1, after writing the file, when
-any run was incorrect.  A metric whose change median is worse than the
-parent median by more than its BENCHMARK.json bound (relative, in the
-metric's better direction) is marked over_bound and listed on stderr.
+any run was incorrect.  A run whose run.py exits nonzero is kept
+under failed_runs (workload, seed, side, exit code and the tail of
+its output) and left out of the pairs, the next run goes on, and the
+tool exits 1 after writing the file.  A metric whose change median is
+worse than the parent median by more than its BENCHMARK.json bound
+(relative, in the metric's better direction) is marked over_bound and
+listed on stderr.
 A metric whose change median is better than the parent's better
 quartile (q1 when lower is better, q3 when higher is better) is marked
 beyond_spread: the change median lies outside the parent's own
@@ -49,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the lines of a failed run's output that its report keeps
+TAIL_LINES = 20
 # the whole-system commands, each run as python with these arguments
 # from a tree's root with src on PYTHONPATH, as Tier-1 runs
 WHOLE_SYSTEM = {
@@ -102,8 +108,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             if run["workload"] == workload:
                 pairs.setdefault(run["seed"], {})[run["side"]] = run
         pairs = [p for p in pairs.values() if len(p) == 2]
+        # with every run of one side failed there is no pair, and no
+        # metric or pass count to compare
         table = {}
-        for spec in metrics:
+        for spec in metrics if pairs else ():
             name, lower = spec["name"], spec["better"] == "lower"
             sides = {side: _spread([p[side]["metrics"][name] for p in pairs])
                      for side in SIDES}
@@ -126,7 +134,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 else median > sides["parent"]["q3"],
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost}
         passes = {side: statistics.median(p[side]["passes"] for p in pairs)
-                  for side in SIDES}
+                  for side in SIDES} if pairs else None
         incorrect, failed_share = {}, {}
         for side, own in sided.items():
             incorrect[side] = sum(not run["correct"] for run in own)
@@ -168,13 +176,16 @@ def _export(ref: str, into: Path) -> None:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run.py report, parsed; or, when run.py exits nonzero, its
+    exit code and the last TAIL_LINES lines of its output."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"run.py failed in {tree} ({workload}, seed "
-                         f"{seed}):\n{proc.stdout}{proc.stderr}")
+        output = (proc.stdout + proc.stderr).splitlines()
+        return {"exit": proc.returncode,
+                "tail": "\n".join(output[-TAIL_LINES:])}
     return parse_run(proc.stdout)
 
 
@@ -208,16 +219,17 @@ def main(argv=None) -> int:
     trees = {"parent": base, "change": ROOT}
     try:
         _export(parent, base)
-        runs = []
+        runs, failed = [], []
         for workload in (w["name"] for w in spec["workloads"]):
             for turn, seed in enumerate(args.seeds):
                 order = SIDES if turn % 2 == 0 else SIDES[::-1]
                 for side in order:
                     print(f"{workload} seed {seed}: {side}",
                           file=sys.stderr, flush=True)
-                    run = _run(trees[side], workload, seed, seconds)
-                    runs.append({"workload": workload, "seed": seed,
-                                 "side": side, "first": order[0], **run})
+                    run = {"workload": workload, "seed": seed,
+                           "side": side, "first": order[0],
+                           **_run(trees[side], workload, seed, seconds)}
+                    (failed if "exit" in run else runs).append(run)
         whole = []
         for turn, seed in enumerate(args.seeds):
             order = SIDES if turn % 2 == 0 else SIDES[::-1]
@@ -233,7 +245,7 @@ def main(argv=None) -> int:
               "change": "working tree at " + _git("rev-parse", "HEAD"),
               "seconds": seconds, "seeds": args.seeds,
               "summary": summarize(runs, spec["end_to_end"]),
-              "runs": runs,
+              "runs": runs, "failed_runs": failed,
               "whole_system": {"summary": summarize_whole_system(whole),
                                "runs": whole}}
     out = ROOT / f"BENCH_{args.pr}.json"
@@ -245,12 +257,16 @@ def main(argv=None) -> int:
                 print(f"over bound: {workload} {name} "
                       f"{m['change_pct']:+.1f}% (bound "
                       f"{100 * m['bound']:g}%)", file=sys.stderr)
-    wrong = [f"{run['workload']} seed {run['seed']} {run['side']}"
-             for run in runs if not run["correct"]]
-    if wrong:
-        print("incorrect answers: " + ", ".join(wrong), file=sys.stderr)
-        return 1
-    return 0
+    code = 0
+    for what, bad in (("incorrect answers", [
+            run for run in runs if not run["correct"]]),
+            ("failed runs", failed)):
+        if bad:
+            print(f"{what}: " + ", ".join(
+                f"{run['workload']} seed {run['seed']} {run['side']}"
+                for run in bad), file=sys.stderr)
+            code = 1
+    return code
 
 
 if __name__ == "__main__":
