@@ -35,9 +35,9 @@ from .distances import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    integer_param,
     make_family,
     parse_any,
+    parse_int,
 )
 from .reports import as_tree, render_kv
 from .reproduce import SUITES
@@ -231,7 +231,7 @@ def _cmd_filter(args) -> int:
 def _subdivide(source: str, edge: str, i: int) -> SignedWitness:
     w = load_witness(source)
     index = (w.designated_edge if edge == "designated"
-             else integer_param("subdivide", "EDGE", edge))
+             else parse_int("subdivide: EDGE", edge))
     if index is None:
         raise ValueError(f"{w.name} has no designated edge")
     return subdivision_extend(w, index, i)
@@ -268,10 +268,10 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"{args.name} takes {usage}")
     words += words[-1:] * (count - len(words))
     w = build(*(text if word in _TEXT_WORDS
-                else integer_param(args.name, word, text)
+                else parse_int(f"{args.name}: {word}", text)
                 for word, text in zip(words, args.params)))
-    sys.stdout.write(emit_witness(w))
     _save_witness(args, w)
+    sys.stdout.write(emit_witness(w))
     return 0
 
 
@@ -404,31 +404,43 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
-def _worker_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def _flag(*args, **kwargs) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(*args, **kwargs)
     return p
 
 
+def _integer(*args, low: int | None = None, parser=None,
+             **kwargs) -> argparse.ArgumentParser:
+    """parser, or a new parent parser, with an integer argument read by
+    graphs.parse_int and named in a refusal by its usage metavar:
+    "argument --max-n: MAX_N must be >= 0, got -1"."""
+    parser = parser or argparse.ArgumentParser(add_help=False)
+    action = parser.add_argument(*args, **kwargs)
+    word = action.metavar or (action.dest.upper() if action.option_strings
+                              else action.dest)
+
+    def read(text: str) -> int:
+        try:
+            return parse_int(word, text, low)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    action.type = read
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _flag("--format", choices=("text", "kv"), default="text",
                    help="human text or line-oriented key-value output")
-    threads = _flag("--threads", type=_worker_count, default=1,
-                    help="worker process cap for scans")
-    max_n = _flag("--max-n", type=int, default=None,
-                  help="override the vertex-count size guard")
-    max_edges = _flag("--max-edges", type=int, default=None,
-                      help="override the exhaustive-search width guard")
+    threads = _integer("--threads", low=1, default=1,
+                       help="worker process cap for scans")
+    max_n = _integer("--max-n", low=0,
+                     help="override the vertex-count size guard")
+    max_edges = _integer("--max-edges", low=0,
+                         help="override the exhaustive-search width guard")
     graph = _flag("input", help="graph: file, '-', family:NAME:P1,P2,..., "
                                 "or fixture:TAG")
-    k = _flag("--k", type=int, required=True)
+    k = _integer("--k", required=True)
 
     parser = argparse.ArgumentParser(
         prog="signedwiener",
@@ -444,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dist", _cmd_dist, "signed distance between two vertices",
             max_n, graph)
-    p.add_argument("u", type=int)
-    p.add_argument("v", type=int)
+    _integer("u", parser=p)
+    _integer("v", parser=p)
 
     p = add("wiener", _cmd_wiener, "signed or classical wiener index",
             max_n, graph)
@@ -457,11 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     # --r goes in as a parent, ahead of --k, to keep the usage line's order
     add("check-colored", _cmd_check_colored,
         "verify an (r,k)-canceling coloring", max_n, graph,
-        _flag("--r", type=int, required=True), k)
+        _integer("--r", required=True), k)
 
     p = add("filter", _cmd_filter,
             "structural conditions necessary for k-canceling", graph)
-    p.add_argument("--k", type=int, default=1)
+    _integer("--k", parser=p, default=1)
 
     p = add("construct", _cmd_construct,
             "emit a named witness in the fixture format")
@@ -483,19 +495,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("threshold", _cmd_threshold,
             "per-n canceling verdicts for complete graphs",
-            threads, max_n, max_edges, _flag("--r", type=int, default=2), k)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
+            threads, max_n, max_edges, _integer("--r", default=2), k)
+    _integer("--n-from", parser=p, required=True)
+    _integer("--n-to", parser=p, required=True)
 
     p = add("trees", _cmd_trees, "scan all trees of one size", threads)
     p.add_argument("--conjecture", choices=("sandwich", "double-star"),
                    required=True)
-    p.add_argument("--n", type=int, required=True)
+    _integer("--n", parser=p, required=True)
 
     p = add("dyck", _cmd_dyck,
             "index distribution of balanced alternating paths")
-    p.add_argument("--n", type=int, required=True,
-                   help="semilength (path has 2n edges)")
+    _integer("--n", parser=p, required=True,
+             help="semilength (path has 2n edges)")
 
     p = add("soltes", _cmd_soltes,
             "is the wiener index invariant under every vertex deletion",

@@ -8,6 +8,7 @@ everywhere: signings and colorings address edges by their position in
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -370,15 +371,23 @@ def require_int(word: str, value, low: int | None = None,
         raise ValueError(f"{word} must be >= {low}, got {value}")
 
 
-def integer_param(owner: str, word: str, text) -> int:
-    """text, the parameter that owner's usage calls word, as an int;
-    else a ValueError naming both, as in "family star: N must be an
-    integer, got ''"."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{owner}: {word} must be an integer, "
-                         f"got {text!r}") from None
+# the one spelling of an integer in text: ASCII digits after an
+# optional minus, so "1_0", "+5", " 5", "5.0" and non-ASCII digits are
+# refused where int() would read them
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(word: str, text, low: int | None = None,
+              high: int | None = None) -> int:
+    """The one rule for an integer given as text: text, the value that
+    word names, as an int if it is spelled -?[0-9]+ (leading zeros
+    allowed) and passes require_int's bounds.  An int passes straight
+    to require_int, so a float or a bool is refused as there; any
+    other text as "k must be an integer, got '1_0'"."""
+    if type(text) is str and _INTEGER.fullmatch(text):
+        text = int(text)
+    require_int(word, text, low, high)
+    return text
 
 
 def make_family(family: str, params) -> Graph:
@@ -387,9 +396,9 @@ def make_family(family: str, params) -> Graph:
     Args:
         family: one of path, cycle, star, complete, complete-bipartite,
             blowup, theta.
-        params: integer parameters (or their decimal strings); blowup
-            takes part sizes of the base odd-or-even cycle C_t with
-            t = len(params), theta takes path lengths.
+        params: integer parameters, as ints or as text that parse_int
+            reads; blowup takes part sizes of the base odd-or-even
+            cycle C_t with t = len(params), theta takes path lengths.
 
     A family of more than MAX_PARSED_VERTICES vertices or
     MAX_FAMILY_EDGES edges is refused, counted from its parameters
@@ -400,9 +409,8 @@ def make_family(family: str, params) -> Graph:
     fn, usage, size = _FAMILIES[family]
     words = usage.removesuffix("...").split()
     # a surplus parameter is named by the last word
-    values = [integer_param(f"family {family}",
-                            words[min(i, len(words) - 1)], p)
-              for i, p in enumerate(params)]
+    values = [parse_int(f"family {family}: {words[min(i, len(words) - 1)]}",
+                        p) for i, p in enumerate(params)]
     if usage.endswith("..."):
         params = [values]
     elif len(values) != len(words):
@@ -437,10 +445,12 @@ class ParsedGraph:
 
 
 def parse_any(text: str) -> ParsedGraph:
-    """Parse plain, signed, or colored edge-list text.  A header naming
-    more than MAX_PARSED_VERTICES vertices is refused on its line."""
+    """Parse plain, signed, or colored edge-list text.  Every count,
+    endpoint and color is read by parse_int, and a refusal names its
+    line; so does a header naming more than MAX_PARSED_VERTICES
+    vertices, before any per-vertex memory is taken."""
     header: tuple[int, int] | None = None
-    rows: list[tuple[int, int, int, str | None]] = []
+    rows: list[tuple[int, int, int, str | int | None]] = []
     comments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw
@@ -453,28 +463,27 @@ def parse_any(text: str) -> ParsedGraph:
         if not line:
             continue
         fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise GraphFormatError("expected header 'n m'", lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError("expected header 'n m'", lineno)
-            if n < 0 or m < 0:
-                raise GraphFormatError("negative count in header", lineno)
-            if n > MAX_PARSED_VERTICES:
-                raise GraphFormatError(
-                    f"header names {n} vertices, more than the "
-                    f"{MAX_PARSED_VERTICES} a graph file may have", lineno)
-            header = (n, m)
-            continue
-        if len(fields) not in (2, 3):
-            raise GraphFormatError("expected 'u v' with optional tag", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError("vertex indices must be integers", lineno)
-        rows.append((lineno, u, v, fields[2] if len(fields) == 3 else None))
+            if header is None:
+                if len(fields) != 2:
+                    raise ValueError("expected header 'n m'")
+                header = (parse_int("vertex count", fields[0], 0,
+                                    MAX_PARSED_VERTICES),
+                          parse_int("edge count", fields[1], 0))
+                continue
+            if len(fields) not in (2, 3):
+                raise ValueError("expected 'u v' with optional tag")
+            u = parse_int("vertex", fields[0])
+            v = parse_int("vertex", fields[1])
+            tag = fields[2] if len(fields) == 3 else None
+            if tag not in (None, "+", "-"):
+                if not _INTEGER.fullmatch(tag):
+                    raise ValueError("edge tag must be +, -, or an "
+                                     f"integer, got {tag!r}")
+                tag = parse_int("color", tag, 1)
+            rows.append((lineno, u, v, tag))
+        except ValueError as e:
+            raise GraphFormatError(str(e), lineno) from None
     if header is None:
         raise GraphFormatError("empty input, expected header 'n m'")
     n, m = header
@@ -487,42 +496,22 @@ def parse_any(text: str) -> ParsedGraph:
         bad = rows[tagged.index(False)][0]
         raise GraphFormatError("mixed tagged and untagged edge lines", bad)
 
-    signs: list[int] | None = None
-    colors: list[int] | None = None
+    signs = colors = None
     if all(tagged) and rows:
-        if all(t in ("+", "-") for t in tags):
-            signs = [1 if t == "+" else -1 for t in tags]
+        signed = [t in ("+", "-") for t in tags]
+        if all(signed):
+            signs = tuple(1 if t == "+" else -1 for t in tags)
+        elif any(signed):
+            raise GraphFormatError("mixed sign and color tags",
+                                   rows[signed.index(True)][0])
         else:
-            colors = []
-            sign_line = None
-            for lineno, _, _, t in rows:
-                if t in ("+", "-"):
-                    if sign_line is None:
-                        sign_line = lineno
-                    continue
-                try:
-                    c = int(t)
-                except ValueError:
-                    raise GraphFormatError(
-                        f"edge tag must be +, -, or an integer, got {t!r}",
-                        lineno)
-                if c < 1:
-                    raise GraphFormatError("colors must be >= 1", lineno)
-                colors.append(c)
-            if sign_line is not None:
-                raise GraphFormatError("mixed sign and color tags",
-                                       sign_line)
+            colors = tuple(tags)
 
     try:
         graph = Graph(n, [(u, v) for _, u, v, _ in rows])
     except EdgeError as e:
         raise GraphFormatError(str(e), rows[e.edge][0]) from None
-    return ParsedGraph(
-        graph,
-        tuple(signs) if signs is not None else None,
-        tuple(colors) if colors is not None else None,
-        tuple(comments),
-    )
+    return ParsedGraph(graph, signs, colors, tuple(comments))
 
 
 def emit_graph(g: Graph, tags=(), comments=()) -> str:

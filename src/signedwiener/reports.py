@@ -3,7 +3,8 @@
 A report flattens to `dotted.path = token` lines.  Parsing those lines
 rebuilds the same nested tree, so machine-readable output of any
 command round-trips exactly.  Leaves are integers, true/false, none,
-inf, bare words, or bracketed lists of those.
+inf, bare words that parse_token reads back as themselves, or
+bracketed lists of those.
 """
 
 from __future__ import annotations
@@ -12,6 +13,13 @@ import dataclasses
 import math
 
 from .graphs import Graph
+
+
+def _is_word(text: str) -> bool:
+    """True iff text stays one token in a line: not empty, and no
+    whitespace or [ ] =."""
+    return bool(text) and not any(ch.isspace() or ch in "[]="
+                                  for ch in text)
 
 
 def scalar_token(value) -> str:
@@ -30,8 +38,9 @@ def scalar_token(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        if not value or any(ch.isspace() for ch in value) \
-                or any(ch in value for ch in "[]="):
+        # a word parse_token reads as another value ('12', 'none',
+        # 'nan', '1_0') would not come back as this string
+        if not _is_word(value) or parse_token(value) != value:
             raise ValueError(f"string not representable as a token: {value!r}")
         return value
     raise ValueError(f"unsupported leaf value {value!r}")
@@ -90,7 +99,7 @@ def render_kv(tree: dict) -> str:
                                  "round-trip")
             for key, value in node.items():
                 if not isinstance(key, str) or "." in key \
-                        or scalar_token(key) != key:
+                        or not _is_word(key):
                     raise ValueError(f"unusable key {key!r} at {path!r}")
                 emit(f"{path}.{key}" if path else key, value)
             return

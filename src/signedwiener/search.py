@@ -328,22 +328,32 @@ def tree_signed_wiener(tree: Graph, signing) -> int:
     return total
 
 
-def _rooted_code(root: int, parent: int, nbrs: list[list[int]]) -> tuple:
-    subs = sorted(_rooted_code(w, root, nbrs)
-                  for w in nbrs[root] if w != parent)
-    return tuple(subs)
+def _rooted_code(tree: Graph, root: int) -> tuple[tuple, str]:
+    """The code of tree rooted at root, the sorted tuple of its
+    children's codes, and its key: "1", the children's keys, "0".  Keys
+    order as codes do (a close sorts before an open, so a prefix comes
+    first), so children sort by key: comparing nested tuples recurses
+    once per level.  Built deepest first, without recursion."""
+    depth = bfs_distances(tree, root)
+    code: list[tuple] = [()] * tree.n
+    key = [""] * tree.n
+    for v in sorted(range(tree.n), key=depth.__getitem__, reverse=True):
+        kids = sorted((w for w in tree.neighbors(v) if depth[w] > depth[v]),
+                      key=key.__getitem__)
+        code[v] = tuple(code[w] for w in kids)
+        key[v] = "1" + "".join(key[w] for w in kids) + "0"
+    return code[root], key[root]
 
 
 def tree_canonical_form(tree: Graph) -> tuple:
     """Isomorphism-invariant code: the lexicographically least rooted
     code over the one or two centers, the vertices of least
     eccentricity."""
-    nbrs = [list(tree.neighbors(v)) for v in range(tree.n)]
     ecc = [max(bfs_distances(tree, v)) for v in range(tree.n)]
     radius = min(ecc)
-    codes = [_rooted_code(c, -1, nbrs) for c in range(tree.n)
-             if ecc[c] == radius]
-    return (tree.n, min(codes))
+    code, _ = min((_rooted_code(tree, c) for c in range(tree.n)
+                   if ecc[c] == radius), key=lambda ck: ck[1])
+    return (tree.n, code)
 
 
 @dataclass(frozen=True)

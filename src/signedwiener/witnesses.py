@@ -31,6 +31,7 @@ from .graphs import (
     emit_graph,
     is_connected,
     parse_any,
+    parse_int,
     path_graph,
     require_int,
     square,
@@ -405,14 +406,6 @@ def _claim_comment(c: Claim) -> str:
     return "claim: " + " ".join(parts)
 
 
-def _number(text: str, token: str) -> int:
-    """text as an integer, or a ValueError that names token."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"malformed witness token {token!r}") from None
-
-
 def _parse_claim_comment(body: str) -> Claim:
     tokens = body.split()
     if not tokens:
@@ -422,7 +415,7 @@ def _parse_claim_comment(body: str) -> Claim:
     for tok in tokens[1:]:
         key, _, val = tok.partition("=")
         if key in ("r", "k"):
-            kw[key] = _number(val, tok)
+            kw[key] = parse_int(key, val)
         elif key == "expected":
             if val.lower() not in ("true", "false"):
                 raise ValueError(
@@ -430,7 +423,8 @@ def _parse_claim_comment(body: str) -> Claim:
             kw["expected"] = val.lower() == "true"
         elif key == "exceptional-pair":
             a, _, b = val.partition(",")
-            kw["exceptional_pair"] = (_number(a, tok), _number(b, tok))
+            kw["exceptional_pair"] = tuple(
+                parse_int("exceptional pair vertex", v) for v in (a, b))
         else:
             raise ValueError(f"unknown claim token {tok!r}")
     return Claim(kind, **kw)
@@ -461,7 +455,7 @@ def parse_witness(text: str) -> SignedWitness:
         elif key == "tag":
             name = f"special-{body}"
         elif key == "designated-edge":
-            designated = _number(body, comment)
+            designated = parse_int("designated edge", body)
     if claim is None:
         raise ValueError("witness text carries no claim comment")
     signing = coloring = None

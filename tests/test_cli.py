@@ -174,8 +174,8 @@ class TestExitCodes:
                 assert exc.value.code == 2
                 out, err = capsys.readouterr()
                 assert out == "" and err.splitlines()[-1].endswith(
-                    f"error: argument --threads: must be an integer >= 1, "
-                    f"got '{threads}'")
+                    f"error: argument --threads: THREADS must be >= 1, "
+                    f"got {threads}")
 
     def test_threshold_empty_range_is_2(self, capsys):
         code, out, err = run_cli(capsys, "threshold", "--k", "2",
@@ -470,6 +470,19 @@ class TestConstruct:
         assert code == 0
         assert "w-zero" in out
 
+    @pytest.mark.parametrize("command", [
+        ("construct", "complete-cyclic", "5"),
+        ("search", "family:complete:4", "--k", "1")])
+    def test_unwritable_witness_file_prints_nothing(self, capsys, tmp_path,
+                                                    command):
+        # the witness is saved before stdout is written, so a refused
+        # path leaves stdout empty, as search always did
+        path = tmp_path / "missing" / "w.txt"
+        code, out, err = run_cli(capsys, *command,
+                                 "--emit-witness", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "No such file or directory" in err
+
     @pytest.mark.parametrize("argv", [
         ("bipartite-cliques", "family:complete-bipartite:3,3", "1"),
         ("blowup", "1", "1", "2", "2", "2"),
@@ -502,6 +515,18 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert err == f"error: {reason}\n"
 
+    # each malformed token is refused by parse_int under the word that
+    # Claim or SignedWitness uses for its value
+    TOKEN_REFUSALS = {
+        "exceptional-pair=1":
+            "exceptional pair vertex must be an integer, got ''",
+        "exceptional-pair=1,x":
+            "exceptional pair vertex must be an integer, got 'x'",
+        "k=x": "k must be an integer, got 'x'",
+        "r=": "r must be an integer, got ''",
+        "designated-edge: x": "designated edge must be an integer, got 'x'",
+    }
+
     @pytest.mark.parametrize("line, token", [
         ("# claim: w-zero expected=false exceptional-pair=1",
          "exceptional-pair=1"),
@@ -520,7 +545,7 @@ class TestConstruct:
         code, out, err = run_cli(capsys, "construct", "union", str(path),
                                  "theta4", "0", "0")
         assert code == 2 and out == ""
-        assert err == f"error: malformed witness token {token!r}\n"
+        assert err == f"error: {self.TOKEN_REFUSALS[token]}\n"
 
     def test_bad_parameter_count(self, capsys):
         code, _, err = run_cli(capsys, "construct", "square-path")

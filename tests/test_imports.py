@@ -7,7 +7,9 @@ __all__).  An import line carrying a `# noqa` comment is exempt.  A
 second pass over the package alone: every private name a module binds
 at top level must be read somewhere in the package.  A third: every
 public def or class at the package's top level must be read by the
-package, the benchmark, the tools or the demos."""
+package, the benchmark, the tools or the demos.  A fourth: the package
+turns text into an int only in graphs.parse_int, so no other function
+calls int() or passes type=int, bar the named exceptions."""
 
 import ast
 from pathlib import Path
@@ -132,3 +134,39 @@ def test_every_public_name_has_a_caller():
                 for line, name in public_definitions(path.read_text())
                 if name not in read]
     assert uncalled == []
+
+
+# the functions that may call int(): the one text rule, the key-value
+# reader of tokens and list indices the renderer wrote, and a base-2
+# bit reversal
+INT_CALLERS = {("graphs", "parse_int"), ("reports", "parse_token"),
+               ("reports", "_listify"), ("distances", "_mirror")}
+
+
+def int_conversions(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing top-level function) for each int( call and each
+    type=int keyword in the module."""
+    out = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "int"
+                    or any(k.arg == "type" and isinstance(k.value, ast.Name)
+                           and k.value.id == "int" for k in node.keywords)):
+                out.append((node.lineno, name))
+    return out
+
+
+def test_int_conversion_detector():
+    source = ("x = int('1')\n\ndef f(p):\n    p.add(type=int)\n\n"
+              "def g(t):\n    return [int(t), float(t)]\n")
+    assert int_conversions(source) == [(1, "<module>"), (4, "f"), (7, "g")]
+
+
+def test_text_becomes_an_int_only_in_parse_int():
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in SRC
+             for line, name in int_conversions(path.read_text())
+             if (path.stem, name) not in INT_CALLERS]
+    assert found == []

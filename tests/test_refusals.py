@@ -9,10 +9,14 @@ graph file whose header names more vertices than the parser's limit
 on that header's line, a family past its vertex or edge limit before
 any edge list exists, and a threshold row past its first guard before
 K_n is built; a witness refuses an exceptional pair that is not
-0 <= u < v < n; and every single integer parameter of the public API
+0 <= u < v < n; every single integer parameter of the public API
 is refused through graphs.require_int, in one of its three forms,
-when it is a float, a bool or an int past a bound."""
+when it is a float, a bool or an int past a bound; and every integer
+given as text, in a graph file, a witness comment, a family or
+construct parameter or a command-line argument, is read by
+graphs.parse_int, which refuses every spelling but -?[0-9]+."""
 
+import argparse
 import time
 
 import pytest
@@ -63,6 +67,7 @@ from signedwiener.witnesses import (
     blowup_cycle_signing,
     complete_cyclic_signing,
     complete_rk_coloring,
+    emit_witness,
     parse_witness,
     special_witness,
     square_cycle_signing,
@@ -326,8 +331,7 @@ def test_header_past_the_vertex_limit_is_refused(capsys, tmp_path):
     # header of 10^6 vertices cost a second and tens of MB unrefused
     assert MAX_PARSED_VERTICES == 100_000
     assert parse_any(f"{MAX_PARSED_VERTICES} 0\n").graph.n == 100_000
-    message = ("line 2: header names 100001 vertices, more than the "
-               "100000 a graph file may have")
+    message = "line 2: vertex count 100001 out of range 0..100000"
     with pytest.raises(GraphFormatError) as exc:
         parse_any("# comment\n100001 0\n")
     assert str(exc.value) == message and exc.value.line == 2
@@ -335,9 +339,8 @@ def test_header_past_the_vertex_limit_is_refused(capsys, tmp_path):
     big.write_text("1000000000 0\n")
     assert main(["wiener", str(big)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == ("error: line 1: header names 1000000000 "
-                                 "vertices, more than the 100000 a graph "
-                                 "file may have\n")
+    assert out == "" and err == ("error: line 1: vertex count 1000000000 "
+                                 "out of range 0..100000\n")
 
 
 @pytest.mark.parametrize("family, message", [
@@ -542,3 +545,98 @@ def test_integer_parameter_is_refused_by_one_rule(call, value, message):
     with pytest.raises(ValueError) as exc:
         call(value)
     assert str(exc.value) == message
+
+
+# spellings int() reads but parse_int refuses: an underscore, a plus
+# sign, Arabic-Indic and fullwidth digits, a float, a space, nothing
+SPELLINGS = ["1_0", "+5", "٣", "５", "5.0", " 5", ""]
+# a whitespace-separated field of a graph file or claim comment is
+# never empty and holds no space, so there " 5" and "" are no field
+FIELD_SPELLINGS = SPELLINGS[:5]
+THETA4_TEXT = emit_witness(special_witness("theta4"))
+# each text entry: the file it reads, {} standing for the spelling
+TEXT_ENTRIES = {
+    "header-vertex-count": "{} 0\n",
+    "header-edge-count": "3 {}\n",
+    "endpoint": "3 1\n0 {}\n",
+    "color": "3 2\n0 1 1\n1 2 {}\n",
+    "claim-r": THETA4_TEXT.replace("claim: w-zero",
+                                   "claim: rk-canceling r={} k=2"),
+    "claim-k": THETA4_TEXT.replace("claim: w-zero",
+                                   "claim: k-canceling k={}"),
+    "exceptional-pair": THETA4_TEXT.replace(
+        "claim: w-zero", "claim: w-zero expected=false exceptional-pair=0,{}"),
+    "designated-edge": THETA4_TEXT + "# designated-edge: {}\n",
+}
+# each command line entry, {} standing for the spelling
+ARGV_ENTRIES = {
+    "family": ["wiener", "family:complete-bipartite:3,{}"],
+    "construct-N": ["construct", "square-path", "{}"],
+    "construct-EDGE": ["construct", "subdivide", "theta4", "{}", "1"],
+    "construct-SIZE": ["construct", "blowup", "1", "1", "2", "2", "{}"],
+}
+# a command line each command accepts, its positionals first
+VALID_ARGV = {
+    "dist": ["fixture:theta4", "0", "1"],
+    "wiener": ["fixture:theta4"],
+    "check": ["fixture:theta4", "--k", "1"],
+    "check-colored": ["fixture:theta4", "--r", "2", "--k", "1"],
+    "filter": ["fixture:theta4"],
+    "search": ["family:path:3", "--k", "1"],
+    "min-wiener": ["family:path:3"],
+    "threshold": ["--k", "1", "--n-from", "3", "--n-to", "3"],
+    "trees": ["--conjecture", "sandwich", "--n", "3"],
+    "dyck": ["--n", "2"],
+    "soltes": ["fixture:theta4"],
+}
+
+
+def _integer_arguments():
+    """(command, argv with {} for the argument's value) for each
+    integer flag and positional of the command line."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        positionals = [a for a in parser._actions if not a.option_strings]
+        for action in parser._actions:
+            if getattr(action.type, "__qualname__", "").startswith(
+                    "_integer."):
+                argv = list(VALID_ARGV[name])
+                if action.option_strings:
+                    argv += [action.option_strings[0], "{}"]
+                else:
+                    argv[positionals.index(action)] = "{}"
+                yield f"{name}-{action.dest}", [name, *argv]
+
+
+def _refused_spellings():
+    for entry, text in TEXT_ENTRIES.items():
+        for spelling in FIELD_SPELLINGS:
+            yield entry, text.format(spelling), None, spelling
+    for entry, argv in [*ARGV_ENTRIES.items(), *_integer_arguments()]:
+        for spelling in SPELLINGS:
+            yield entry, None, argv, spelling
+
+
+@pytest.mark.parametrize("text, argv, spelling", [
+    pytest.param(text, argv, spelling, id=f"{entry}-{spelling!r}")
+    for entry, text, argv, spelling in _refused_spellings()])
+def test_every_text_integer_refuses_the_same_spellings(
+        capsys, tmp_path, text, argv, spelling):
+    # each entry read its integers by its own parser: int() took all
+    # but the last two, str.isdecimal() the digits, and none named the
+    # spelling the same way
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = ["construct", "union", str(path), "theta4", "0", "0"]
+    try:
+        code = main([word.format(spelling) for word in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert code == 2 and out == "" and len(errors) == 1
+    assert errors[0] == err.splitlines()[-1]
+    assert errors[0].endswith(f"an integer, got {spelling!r}")
+

@@ -64,6 +64,23 @@ class TestTokens:
         with pytest.raises(ValueError):
             scalar_token(math.nan)
 
+    @pytest.mark.parametrize("word", ["12", "true", "none", "inf", "1_0",
+                                      "1e3", "nan", "-0"])
+    def test_refuses_a_string_read_back_as_another_value(self, word):
+        # each would come back from parse_kv as an int, bool, None or
+        # float, or as another string
+        with pytest.raises(ValueError) as exc:
+            render_kv({"name": word})
+        assert str(exc.value) == f"string not representable as a token: " \
+                                 f"{word!r}"
+        with pytest.raises(ValueError):
+            render_kv({"names": ["x", word]})
+
+    def test_key_is_a_word_not_a_value(self):
+        # keys are never read by parse_token, so a digit key round-trips
+        tree = {"counts": {"12": 1, "none": 2}}
+        assert parse_kv(render_kv(tree)) == tree
+
 
 class TestRender:
     def test_nested_paths(self):

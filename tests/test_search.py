@@ -29,6 +29,7 @@ from signedwiener.distances import (
 )
 from signedwiener.graphs import (
     Graph,
+    bfs_distances,
     complete_graph,
     cycle_graph,
     is_connected,
@@ -338,6 +339,42 @@ class TestTrees:
                     moved = Graph(n, [(label[u], label[v])
                                       for u, v in tree.edges])
                     assert tree_canonical_form(moved) == code
+
+    def test_codes_and_tree_order_match_the_recursive_definition(self):
+        # the iterative codes equal the recursive definition, a rooted
+        # code being the sorted tuple of its children's codes, and so
+        # the enumeration keeps its order
+        def code(tree, root, parent):
+            return tuple(sorted(code(tree, w, root)
+                                for w in tree.neighbors(root) if w != parent))
+
+        def form(tree):
+            ecc = [max(bfs_distances(tree, v)) for v in range(tree.n)]
+            return (tree.n, min(code(tree, c, -1) for c in range(tree.n)
+                                if ecc[c] == min(ecc)))
+
+        trees = [Graph(1, [])]
+        for n in range(2, 11):
+            seen = {}
+            for parent in trees:
+                for attach in range(n - 1):
+                    t = Graph(n, list(parent.edges) + [(attach, n - 1)])
+                    assert tree_canonical_form(t) == form(t)
+                    seen.setdefault(form(t), t)
+            trees = list(seen.values())
+            assert search._all_trees(n) == trees
+
+    def test_long_path_needs_no_recursion(self):
+        # the recursive code raised RecursionError from about 1,000
+        # levels; a 2,000-vertex path has two centers, and its code is
+        # the chains of 999 and 1,000 vertices hanging from the first
+        n, code = tree_canonical_form(path_graph(2000))
+        assert n == 2000 and len(code) == 2
+        for chain, length in zip(code, (999, 1000)):
+            for _ in range(length - 1):
+                assert len(chain) == 1
+                chain = chain[0]
+            assert chain == ()
 
     def test_records(self):
         records = {tree_canonical_form(r.tree): r for r in enumerate_trees(4)}
